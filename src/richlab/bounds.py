@@ -19,16 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import mpmath
 
-from .paltree import PalIndex, is_rich, lpps
-from .structures import (
-    _PalSpans,
-    palindromic_closure,
-    switch_cores,
-)
+from .paltree import Eertree, lpps
+from .structures import _switch_starts, palindromic_closure
 from .words import Word
 
 BOUND_IDS = (
@@ -114,7 +110,7 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class WordProfile:
-    """Per-length statistics of one word, computed in a single pass."""
+    """Per-length statistics of one word, computed by word_profile."""
 
     word: Word
     q: int
@@ -125,6 +121,7 @@ class WordProfile:
     gamma_max: tuple[int, ...]  # gamma_max[n] = max(1, max sw[i] for i<=n)
     pal_max: tuple[int, ...]    # pal_max[n] = max pal[j] for j<=n
     closed: tuple[bool, ...]    # closed[n] = F(w,n) stable under reversal
+    cores: tuple[frozenset[str], ...]  # cores[n] = length-n switch cores (chars)
 
     def fac_at(self, n: int) -> int:
         return self.fac[n] if 0 <= n < len(self.fac) else (1 if n == 0 else 0)
@@ -144,29 +141,98 @@ class WordProfile:
         # beyond |w| the factor set is empty, which is vacuously closed
         return self.closed[n] if 0 <= n < len(self.closed) else True
 
+    def cores_at(self, n: int) -> frozenset[str]:
+        return self.cores[n] if 0 <= n < len(self.cores) else frozenset()
+
+
+def _suffix_automaton(s: str) -> tuple[list[int], list[int], list[dict]]:
+    """State lengths, suffix links and transitions of the suffix automaton of s.
+
+    State 0 is the root; every other state v stands for the factors of s
+    with lengths length[link[v]]+1 .. length[v] that share one end set.
+    """
+    length, link, nxt = [0], [-1], [{}]
+    last = 0
+    for c in s:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        nxt.append({})
+        p = last
+        while p != -1 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p != -1:
+            r = nxt[p][c]
+            if length[p] + 1 == length[r]:
+                link[cur] = r
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[r])
+                nxt.append(nxt[r].copy())
+                while p != -1 and nxt[p].get(c) == r:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[r] = link[cur] = clone
+        last = cur
+    return length, link, nxt
+
 
 def word_profile(w: Word) -> WordProfile:
+    """Per-length statistics of w from four passes of O(|w|) steps each.
+
+    fac: each suffix-automaton state adds 1 to every length it stands for.
+    closed: F(w,n) is reversal-closed iff every length-n factor of
+    reverse(w) occurs in w, read off the matching statistics of reverse(w)
+    against the same automaton.  pal and rich: Eertree node lengths.
+    sw and cores: one switch occurrence at most per palindrome centre.
+    Hashing the distinct switch strings also costs the total length of the
+    switch occurrences, O(|w|^2) characters at worst, all of it in C.
+    """
     s = w.chars
     L = len(s)
-    spans = _PalSpans(s)
-    idx = PalIndex(w)
+
+    length, link, nxt = _suffix_automaton(s)
+    delta = [0] * (L + 2)
+    for v in range(1, len(length)):
+        delta[length[link[v]] + 1] += 1
+        delta[length[v] + 1] -= 1
     fac = [1] + [0] * L
-    pal = [1] + [0] * L
-    sw = [0] * (L + 1)
-    closed = [True] + [False] * L
+    run = 0
     for n in range(1, L + 1):
-        seen: set[str] = set()
-        switch_seen: set[str] = set()
-        for i in range(L - n + 1):
-            seen.add(s[i : i + n])
-            if n > 2 and s[i] != s[i + n - 1] and spans.is_palindrome_span(
-                i + 1, i + n - 2
-            ):
-                switch_seen.add(s[i : i + n])
-        fac[n] = len(seen)
-        pal[n] = idx.count_of_length(n)
-        sw[n] = len(switch_seen)
-        closed[n] = all(t[::-1] in seen for t in seen)
+        run += delta[n]
+        fac[n] = run
+
+    # matching statistics: ml[j] = longest suffix of reverse(w)[:j+1] in F(w)
+    ml = []
+    v = k = 0
+    for c in reversed(s):
+        while v and c not in nxt[v]:
+            v = link[v]
+            k = length[v]
+        v = nxt[v][c]  # c occurs in w, so the root always has this edge
+        k += 1
+        ml.append(k)
+    closed = [True] * (L + 1)
+    low = L
+    for j in range(L - 1, -1, -1):
+        low = min(low, ml[j])
+        closed[j + 1] = low >= j + 1
+
+    tree = Eertree()
+    for c in w:
+        tree.append(c)
+    pal = [1] + [0] * L
+    for node in range(2, tree.node_count):
+        pal[tree.node_length(node)] += 1
+
+    sw = [0] * (L + 1)
+    cores = [frozenset()] * (L + 1)
+    for m, starts in _switch_starts(s).items():
+        sw[m] = len({s[i : i + m] for i in starts})
+        cores[m - 2] = frozenset(s[i + 1 : i + m - 1] for i in starts)
+
     gmax = [1] * (L + 1)
     pmax = [1] * (L + 1)
     for n in range(1, L + 1):
@@ -175,13 +241,14 @@ def word_profile(w: Word) -> WordProfile:
     return WordProfile(
         word=w,
         q=w.alphabet_size,
-        rich=idx.distinct_count == L + 1,
+        rich=tree.distinct_nonempty == L,
         fac=tuple(fac),
         pal=tuple(pal),
         sw=tuple(sw),
         gamma_max=tuple(gmax),
         pal_max=tuple(pmax),
         closed=tuple(closed),
+        cores=tuple(cores),
     )
 
 
@@ -316,11 +383,23 @@ def check_upsilon_bound(
     """B2: at most q(q-1) length-n switch cores share one lpps value r."""
     profile = profile or word_profile(w)
     covered = _require_rich(profile, force)
-    members = frozenset(
-        u for u in switch_cores(w, n + 2) if lpps(u).chars == r.chars
-    )
+    lhs = _lpps_fibers(profile, n).get(r.chars, 0)
+    return _upsilon_report(profile, n, r, lhs, covered)
+
+
+def _lpps_fibers(profile: WordProfile, n: int) -> dict[str, int]:
+    """Number of length-n switch cores per lpps value (as chars)."""
+    fibers: dict[str, int] = {}
+    for u in profile.cores_at(n):
+        r = lpps(Word(u, profile.q)).chars
+        fibers[r] = fibers.get(r, 0) + 1
+    return fibers
+
+
+def _upsilon_report(
+    profile: WordProfile, n: int, r: Word, lhs: int, covered: bool
+) -> BoundReport:
     q = profile.q
-    lhs = len(members)
     rhs = q * (q - 1)
     return _exact_report(
         "B2", profile, n, lhs, rhs,
@@ -328,6 +407,18 @@ def check_upsilon_bound(
         f"r={r.text!r}: {lhs} <= {rhs}",
         covered,
     )
+
+
+def _upsilon_reports(
+    profile: WordProfile, n: int, force: bool, fibers: dict[str, int]
+) -> list[BoundReport]:
+    """B2 at order n for every lpps value in fibers, in sorted order."""
+    return [
+        _upsilon_report(
+            profile, n, Word(r, profile.q), lhs, _require_rich(profile, force)
+        )
+        for r, lhs in sorted(fibers.items())
+    ]
 
 
 # ---------------------------------------------------------------- B3
@@ -656,7 +747,8 @@ def diagnostic_trim_gamma_partition(
     _require_rich(profile, force)
     long_side: set[Word] = set()
     short_side: set[Word] = set()
-    for v in switch_cores(w, n):
+    for chars in profile.cores_at(n - 2):
+        v = Word(chars, profile.q)
         if 2 * len(lpps(v)) >= len(v):
             long_side.add(v)
         else:
@@ -679,12 +771,9 @@ def _admissible_reports(
             yield check_switch_palindrome_bound(w, n, force, profile)
     if "B2" in wanted:
         for n in range(1, max(L - 1, 1)):
-            cores = switch_cores(w, n + 2)
-            values = {lpps(u).chars for u in cores}
-            for chars in sorted(values):
-                yield check_upsilon_bound(
-                    w, n, Word(chars, profile.q), force, profile
-                )
+            yield from _upsilon_reports(
+                profile, n, force, _lpps_fibers(profile, n)
+            )
     if "B3" in wanted:
         for n in range(1, L + 1):
             yield check_gamma_palindrome_bound(w, n, force, profile)
@@ -766,14 +855,10 @@ def _reports_at(
     if bound_id == "B1":
         return [check_switch_palindrome_bound(w, n, force, profile)]
     if bound_id == "B2":
-        cores = switch_cores(w, n + 2)
-        values = sorted({lpps(u).chars for u in cores})
-        if not values:
-            values = [""]
-        return [
-            check_upsilon_bound(w, n, Word(c, profile.q), force, profile)
-            for c in values
-        ]
+        # with no cores at all, still report the empty lpps value
+        return _upsilon_reports(
+            profile, n, force, _lpps_fibers(profile, n) or {"": 0}
+        )
     if bound_id == "B3":
         return [check_gamma_palindrome_bound(w, n, force, profile)]
     if bound_id == "B4":

@@ -306,6 +306,23 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low; anything else is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_NONNEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
 def _add_word_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("word", help="word to analyze (may be empty)")
     sub.add_argument(
@@ -330,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("switches", help="emit length-n switches as JSON lines")
     _add_word_arg(p)
-    p.add_argument("--n", type=int, required=True, help="switch length")
+    p.add_argument("--n", type=_NONNEGATIVE, required=True, help="switch length")
     p.set_defaults(func=_cmd_switches)
 
     p = subs.add_parser("closure", help="print the palindromic closure")
@@ -361,9 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="check bounds on every rich word up to a length")
     p.add_argument("--q", type=int, required=True, help="alphabet size")
-    p.add_argument("--max-len", type=int, required=True, help="largest word length")
+    p.add_argument(
+        "--max-len", type=_NONNEGATIVE, required=True, help="largest word length"
+    )
     p.add_argument("--bounds", help="comma-separated bound ids (default: all)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs", type=_POSITIVE, default=1, help="worker processes (default 1)"
+    )
     p.add_argument(
         "--no-closure",
         action="store_true",
@@ -374,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("enumerate", help="count (or list) rich words per length")
     p.add_argument("--q", type=int, required=True, help="alphabet size")
-    p.add_argument("--max-len", type=int, required=True, help="largest word length")
+    p.add_argument(
+        "--max-len", type=_NONNEGATIVE, required=True, help="largest word length"
+    )
     p.add_argument(
         "--count-only",
         action="store_true",
@@ -382,11 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shard-prefix",
-        type=int,
+        type=_NONNEGATIVE,
         default=DEFAULT_SHARD_PREFIX,
         help=f"prefix length for parallel sharding (default {DEFAULT_SHARD_PREFIX})",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs", type=_POSITIVE, default=1, help="worker processes (default 1)"
+    )
     p.add_argument(
         "--canonical",
         action="store_true",

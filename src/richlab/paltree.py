@@ -205,9 +205,7 @@ def lps(w: Word) -> Word:
     """Longest palindromic suffix; rejects the empty word."""
     if len(w) == 0:
         raise ValueError("lps of the empty word is undefined")
-    idx = PalIndex(w)
-    s = idx.lps_word
-    return s if len(s) > 0 else idx.lpps_word  # unreachable fallback; |lps| >= 1
+    return PalIndex(w).lps_word
 
 
 def lpp(w: Word) -> Word:

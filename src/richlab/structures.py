@@ -6,8 +6,8 @@ compression map that squeezes a palindrome v with a long palindromic
 prefix u down to a short fragment, palindromic closure, sentinel
 augmentation, and Rauzy graphs.
 
-Window palindromicity uses precomputed center radii, so scanning all
-windows of one length is linear in the word length.
+Switches come from precomputed centre radii: at most one occurrence per
+centre, so listing every switch of a word is linear in its length.
 """
 
 from __future__ import annotations
@@ -20,49 +20,46 @@ from .records import SwitchPair, SwitchRecord
 from .words import MAX_ALPHABET, Word, is_palindrome, reverse
 
 
-class _PalSpans:
-    """O(1) palindromicity of any substring after an O(|w|) radius pass."""
+def _switch_starts(s: str) -> dict[int, list[int]]:
+    """Start positions of the switch occurrences a·u·b of s (u nonempty), by length.
 
-    __slots__ = ("_odd", "_even")
-
-    def __init__(self, s: str):
-        n = len(s)
-        d1 = [0] * n
-        l, r = 0, -1
-        for i in range(n):
-            k = 1 if i > r else min(d1[l + r - i], r - i + 1)
-            while i - k >= 0 and i + k < n and s[i - k] == s[i + k]:
-                k += 1
-            d1[i] = k
-            if i + k - 1 > r:
-                l, r = i - k + 1, i + k - 1
-        d2 = [0] * n
-        l, r = 0, -1
-        for i in range(n):
-            k = 0 if i > r else min(d2[l + r - i + 1], r - i + 1)
-            while i - k - 1 >= 0 and i + k < n and s[i - k - 1] == s[i + k]:
-                k += 1
-            d2[i] = k
-            if i + k - 1 > r:
-                l, r = i - k, i + k - 1
-        self._odd = d1
-        self._even = d2
-
-    def is_palindrome_span(self, i: int, j: int) -> bool:
-        """Whether s[i..j] (0-based, inclusive) is a palindrome."""
-        length = j - i + 1
-        if length <= 1:
-            return length >= 0
-        if length % 2:
-            return self._odd[(i + j) // 2] >= (length + 1) // 2
-        return self._even[(i + j) // 2 + 1] >= length // 2
+    A palindrome between two different letters cannot be extended at its
+    centre, so it is the maximal one there: each of the 2|s|-1 centres
+    holds at most one switch occurrence, read off Manacher's radii in
+    O(|s|) steps.
+    """
+    n = len(s)
+    starts: dict[int, list[int]] = {}
+    d1 = [0] * n
+    l, r = 0, -1
+    for i in range(n):
+        k = 1 if i > r else min(d1[l + r - i], r - i + 1)
+        while i - k >= 0 and i + k < n and s[i - k] == s[i + k]:
+            k += 1
+        d1[i] = k
+        if i + k - 1 > r:
+            l, r = i - k + 1, i + k - 1
+        if k <= i and i + k < n:  # s[i-k+1 .. i+k-1] has a letter each side
+            starts.setdefault(2 * k + 1, []).append(i - k)
+    d2 = [0] * n
+    l, r = 0, -1
+    for i in range(n):
+        k = 0 if i > r else min(d2[l + r - i + 1], r - i + 1)
+        while i - k - 1 >= 0 and i + k < n and s[i - k - 1] == s[i + k]:
+            k += 1
+        d2[i] = k
+        if i + k - 1 > r:
+            l, r = i - k, i + k - 1
+        if 0 < k < i and i + k < n:  # s[i-k .. i+k-1] has a letter each side
+            starts.setdefault(2 * k + 2, []).append(i - k - 1)
+    return starts
 
 
-# Radii depend only on the character string; repeated window scans over
-# one word (switch sweeps per length, core partitions) share one pass.
-@functools.lru_cache(maxsize=512)
-def _spans_of(chars: str) -> _PalSpans:
-    return _PalSpans(chars)
+# The switch queries over one word (one per length, pairs, core partitions)
+# share one pass; the result is shared, so callers must not mutate it.  The
+# queries come word by word, so a few entries suffice; word_profile needs the
+# pass once per word and calls _switch_starts, so long words stay out.
+_cached_switch_starts = functools.lru_cache(maxsize=16)(_switch_starts)
 
 
 def complete_returns(w: Word, u: Word) -> frozenset[Word]:
@@ -87,16 +84,11 @@ def complete_returns(w: Word, u: Word) -> frozenset[Word]:
 
 def switches(w: Word, n: int) -> frozenset[SwitchRecord]:
     """All length-n factors a·u·b of w with u a palindrome and a != b."""
-    if n <= 2:
-        return frozenset()
     s, q = w.chars, w.alphabet_size
-    spans = _spans_of(s)
-    out = set()
-    for i in range(len(s) - n + 1):
-        a, b = s[i], s[i + n - 1]
-        if a != b and spans.is_palindrome_span(i + 1, i + n - 2):
-            out.add(SwitchRecord(ord(a), Word(s[i + 1 : i + n - 1], q), ord(b)))
-    return frozenset(out)
+    return frozenset(
+        SwitchRecord(ord(s[i]), Word(s[i + 1 : i + n - 1], q), ord(s[i + n - 1]))
+        for i in _cached_switch_starts(s).get(n, ())
+    )
 
 
 def switch_pairs(w: Word, n: int) -> frozenset[SwitchPair]:
@@ -125,16 +117,14 @@ def max_switch_count(w: Word, n: int) -> int:
     if n < 0:
         raise ValueError("length bound must be >= 0")
     s = w.chars
-    spans = _spans_of(s)
-    best = 1
-    for m in range(3, min(n, len(s)) + 1):
-        seen = set()
-        for i in range(len(s) - m + 1):
-            a, b = s[i], s[i + m - 1]
-            if a != b and spans.is_palindrome_span(i + 1, i + m - 2):
-                seen.add(s[i : i + m])
-        best = max(best, len(seen))
-    return best
+    return max(
+        [1]
+        + [
+            len({s[i : i + m] for i in starts})
+            for m, starts in _cached_switch_starts(s).items()
+            if m <= n
+        ]
+    )
 
 
 class CompressionDomainError(ValueError):

@@ -1,6 +1,8 @@
 """Inequality suite: per-bound goldens, error domains, log-domain policy,
 report serialization, and the sweep runner."""
 
+import dataclasses
+import itertools
 import json
 import math
 import random
@@ -13,6 +15,7 @@ from richlab.bounds import (
     BoundReport,
     ClosureRequiredError,
     RichnessRequiredError,
+    WordProfile,
     _decide_log,
     check_ceil_product_lemma,
     check_factor_complexity_bound,
@@ -31,8 +34,13 @@ from richlab.bounds import (
     word_profile,
 )
 from richlab.enumeration import enumerate_rich
-from richlab.structures import sentinel_augment, switch_cores
-from richlab.paltree import lpps
+from richlab.structures import (
+    cores_with_lpps,
+    palindromic_closure,
+    sentinel_augment,
+    switch_cores,
+)
+from richlab.paltree import Eertree, lpps
 from richlab.words import Word
 
 W = Word.parse
@@ -63,6 +71,103 @@ def test_word_profile_golden():
 def test_word_profile_rejects_negative_order():
     with pytest.raises(ValueError):
         word_profile(W("01")).gamma_max_at(-1)
+
+
+def _reference_profile(w):
+    """The profile by definition: one substring set per length, O(|w|^3)."""
+    s = w.chars
+    L = len(s)
+    fac, pal, sw = [1] + [0] * L, [1] + [0] * L, [0] * (L + 1)
+    closed = [True] * (L + 1)
+    cores = [frozenset()] * (L + 1)
+    for n in range(1, L + 1):
+        seen = {s[i : i + n] for i in range(L - n + 1)}
+        switch_seen = {
+            t for t in seen
+            if n > 2 and t[0] != t[-1] and t[1:-1] == t[-2:0:-1]
+        }
+        fac[n] = len(seen)
+        pal[n] = sum(t == t[::-1] for t in seen)
+        sw[n] = len(switch_seen)
+        closed[n] = all(t[::-1] in seen for t in seen)
+        if n > 2:
+            cores[n - 2] = frozenset(t[1:-1] for t in switch_seen)
+    gmax, pmax = [1] * (L + 1), [1] * (L + 1)
+    for n in range(1, L + 1):
+        gmax[n] = max(gmax[n - 1], sw[n])
+        pmax[n] = max(pmax[n - 1], pal[n])
+    return WordProfile(
+        word=w,
+        q=w.alphabet_size,
+        rich=sum(pal) == L + 1,
+        fac=tuple(fac),
+        pal=tuple(pal),
+        sw=tuple(sw),
+        gamma_max=tuple(gmax),
+        pal_max=tuple(pmax),
+        closed=tuple(closed),
+        cores=tuple(cores),
+    )
+
+
+def _assert_profile_matches_reference(w):
+    fast, slow = word_profile(w), _reference_profile(w)
+    for f in dataclasses.fields(WordProfile):
+        assert getattr(fast, f.name) == getattr(slow, f.name), (w, f.name)
+
+
+def _random_rich_word(rng, q, length):
+    """Grow a rich word letter by letter, keeping only extensions that stay rich."""
+    tree = Eertree()
+    out = []
+    while len(out) < length:
+        for c in rng.sample(range(q), q):
+            if tree.append(c):
+                out.append(c)
+                break
+            tree.pop()
+        else:
+            break
+    return Word.from_symbols(out, q)
+
+
+def _fibonacci_prefix(n):
+    a, b = "0", "01"
+    while len(b) < n:
+        a, b = b, b + a
+    return W(b[:n])
+
+
+def test_word_profile_matches_reference_on_all_short_words():
+    for q, max_len in ((2, 12), (3, 7)):
+        for length in range(max_len + 1):
+            for tup in itertools.product(range(q), repeat=length):
+                _assert_profile_matches_reference(Word.from_symbols(tup, q))
+
+
+def test_word_profile_matches_reference_on_random_words():
+    rng = random.Random(20181008)
+    for q in (1, 2, 3, 4, 255):
+        for length in (0, 1, 2, 3, 17, 64, 150, 300):
+            w = Word.from_symbols((rng.randrange(q) for _ in range(length)), q)
+            _assert_profile_matches_reference(w)
+            rich = _random_rich_word(rng, q, length)
+            assert word_profile(rich).rich
+            _assert_profile_matches_reference(rich)
+
+
+def test_word_profile_matches_reference_on_fibonacci_and_closures():
+    rng = random.Random(35730)
+    for length in range(0, 241, 8):
+        fib = _fibonacci_prefix(length)
+        _assert_profile_matches_reference(fib)
+        _assert_profile_matches_reference(palindromic_closure(fib))
+    for q in (2, 3):
+        for length in (5, 40, 120):
+            w = Word.from_symbols((rng.randrange(q) for _ in range(length)), q)
+            _assert_profile_matches_reference(palindromic_closure(w))
+            rich = _random_rich_word(rng, q, length)
+            _assert_profile_matches_reference(palindromic_closure(rich))
 
 
 # --- B1 ---
@@ -116,6 +221,46 @@ def test_b2_binary_class_maximum_is_two():
                 for members in fibers.values():
                     best = max(best, len(members))
     assert best == 2  # q(q-1) is attained, never exceeded
+
+
+def _b2_from_switch_cores(w, n, keep_empty):
+    """(n, lhs, rhs, detail) of B2 at order n, grouped from switch_cores."""
+    q = w.alphabet_size
+    cores = switch_cores(w, n + 2)
+    values = sorted({lpps(u).chars for u in cores}) or ([""] if keep_empty else [])
+    out = []
+    for r in values:
+        lhs = sum(1 for u in cores if lpps(u).chars == r)
+        out.append((n, lhs, q * (q - 1), f"r={Word(r, q).text!r}: {lhs} <= {q * (q - 1)}"))
+    return out
+
+
+def test_b2_reports_match_switch_cores():
+    rng = random.Random(1810)
+    words = [w for L in range(11) for w in enumerate_rich(2, L)]
+    words += [_random_rich_word(rng, q, L) for q in (2, 3, 4) for L in (30, 90, 200)]
+    words += [W37, WG, WU]
+    for w in words:
+        got = [
+            (r.n, r.lhs, r.rhs, r.detail)
+            for r in evaluate_word(w, bound_ids=["B2"])
+        ]
+        want = [
+            row for n in range(1, max(len(w) - 1, 1))
+            for row in _b2_from_switch_cores(w, n, keep_empty=False)
+        ]
+        assert got == want, w
+        for n in (-1, 0, 1, 2, len(w) - 2, len(w) + 3):
+            got = [
+                (r.n, r.lhs, r.rhs, r.detail)
+                for r in evaluate_word(w, bound_ids=["B2"], ns=[n])
+            ]
+            assert got == _b2_from_switch_cores(w, n, keep_empty=True), (w, n)
+        for n in (1, 3, 6):
+            for r in {lpps(u) for u in switch_cores(w, n + 2)} | {W("")}:
+                assert check_upsilon_bound(w, n, r).lhs == len(
+                    cores_with_lpps(w, n, r)
+                )
 
 
 # --- B3 / B4 ---

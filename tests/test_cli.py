@@ -1,8 +1,11 @@
 """CLI surface: output shapes, exit codes, stdout purity, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
+
+import richlab
 
 from richlab.bounds import BOUND_IDS
 from richlab.cli import AnalysisReport, _portable, analysis_report, main
@@ -286,9 +289,40 @@ def test_oracle_check_bad_cell_spec(capsys):
 # ---------------------------------------------------------------- plumbing
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["switches", "0110", "--n", "-3"], "--n"),
+        (["sweep", "--q", "2", "--max-len", "-1"], "--max-len"),
+        (["sweep", "--q", "2", "--max-len", "3", "--jobs", "0"], "--jobs"),
+        (["enumerate", "--q", "2", "--max-len", "3", "--jobs", "0"], "--jobs"),
+        (["enumerate", "--q", "2", "--max-len", "-1"], "--max-len"),
+        (["enumerate", "--q", "2", "--max-len", "3", "--shard-prefix", "-2",
+          "--jobs", "2"], "--shard-prefix"),
+    ],
+)
+def test_out_of_range_integers_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "usage:" in err and f"argument {flag}: must be >=" in err
+
+
+def test_non_integer_flag_keeps_argparse_message(capsys):
+    code, _, err = run(capsys, ["switches", "0110", "--n", "x"])
+    assert code == 2
+    assert "invalid int value: 'x'" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, ["bogus"])[0] == 2
     assert run(capsys, [])[0] == 2
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == richlab.__version__
 
 
 def test_floats_are_clamped_to_twelve_significant_digits():
