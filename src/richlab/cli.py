@@ -4,7 +4,8 @@ Subcommands: analyze, switches, closure, verify, sweep, enumerate,
 oracle-check.  stdout carries data only (JSON by default, CSV where a
 table is more natural); diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when a bound violation or oracle mismatch was found, 2 on
-usage or parse errors.
+usage or parse errors, 3 on any other (internal) error, reported as one
+line on stderr instead of a traceback.
 
 All floating-point values are printed with 12 significant digits so
 reports from different runs diff cleanly.
@@ -25,7 +26,7 @@ from .crosscheck import exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
 from .structures import palindromic_closure, switches
-from .words import ParseError, Word
+from .words import Word
 
 _SIG_DIGITS = 12
 
@@ -454,16 +455,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ValueError, OSError) as exc:
+        # parse errors (a ValueError) and domain preconditions (richness,
+        # closure, limits) are usage errors, as are unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # domain preconditions (richness, closure, limits) are usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a bug, not a verdict: keep exit 1 unambiguous
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from . import oracle
-from .paltree import build_index, defect, is_rich, lpp, lppp, lps, lpps
+from .paltree import PalIndex, defect, is_rich, lpp, lppp, lps, lpps
 from .structures import (
     complete_returns,
     cores_with_lpps,
@@ -123,7 +123,7 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
     problems: list[str] = []
     n_len = len(w)
 
-    idx = build_index(w)
+    idx = PalIndex(w)
     pal_fast = frozenset(idx.palindromes())
     pal_slow = oracle.oracle_palindrome_set(w)
     if pal_fast != pal_slow:
@@ -150,7 +150,7 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
         else:
             # the public wrappers rebuild an index per call; on fuzzed words
             # read the same answers off two shared indexes
-            ridx = build_index(reverse(w))
+            ridx = PalIndex(reverse(w))
             fast_four = (idx.lps_word, ridx.lps_word, idx.lpps_word, ridx.lpps_word)
         for name, a, slow_fn in zip(
             ("lps", "lpp", "lpps", "lppp"),

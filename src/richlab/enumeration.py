@@ -2,12 +2,14 @@
 
 Every factor of a rich word is rich, so the rich words over a fixed
 alphabet form a prefix tree: a branch dies the moment an appended symbol
-fails to create a new palindrome.  The walk therefore touches only rich
-prefixes, and the incremental index makes each extension test O(1)
-amortized, with pop() rolling the index back on backtrack.
+fails to create a new palindrome.  One walker, ``_walk``, visits exactly
+the rich prefixes; the incremental index makes each extension test O(1)
+amortized, with pop() rolling the index back on backtrack.  The walk is
+iterative (a stack of letter iterators), so its depth is bounded by
+memory, not by Python's recursion limit.
 
 Counting can be sharded: rich prefixes of a fixed length are enumerated
-sequentially and their completion counts computed in worker processes;
+sequentially and the counts below each computed in worker processes;
 summation makes the merged total independent of scheduling.
 """
 
@@ -26,7 +28,11 @@ DEFAULT_SHARD_PREFIX = 8
 
 @dataclass(frozen=True)
 class EnumStats:
-    """Per-length rich-word counts with timing."""
+    """Per-length rich-word counts.
+
+    Every entry of ``elapsed`` is the wall time of the whole walk, in
+    seconds; the walk does not time lengths separately.
+    """
 
     q: int
     counts: tuple[int, ...]
@@ -38,10 +44,52 @@ class EnumStats:
         return len(self.counts) - 1
 
 
-def _allowed(q: int, max_used: int, canonical: bool) -> range:
-    if canonical:
-        return range(min(q, max_used + 2))
-    return range(q)
+def _walk(
+    q: int, prefix: Sequence[int], max_len: int, canonical: bool
+) -> Iterator[list[int]]:
+    """Every rich extension of prefix with at most max_len symbols.
+
+    Yields in lexicographic preorder, starting with the prefix itself, and
+    always the same list, changed in place between yields: copy it to keep
+    a word.  canonical=True lets each next symbol be at most one past the
+    largest used so far.  Raises ValueError if the prefix is not rich.
+    """
+    tree = Eertree()
+    append, pop = tree.append, tree.pop
+    for c in prefix:
+        if not append(c):
+            raise ValueError(f"prefix {tuple(prefix)} is not rich")
+    word = list(prefix)
+    if len(word) <= max_len:
+        yield word
+    if len(word) >= max_len:
+        return
+    # letters[i] iterates the symbols to try after word[:len(prefix) + i];
+    # tops[i] is the running maximum of that word's symbols, which starts
+    # at q - 1 outside canonical mode so that every symbol is allowed
+    top = max(prefix, default=-1) if canonical else q - 1
+    letters = [iter(range(min(q, top + 2)))]
+    tops = [top]
+    while letters:
+        for c in letters[-1]:
+            if append(c):
+                word.append(c)
+                yield word
+                if len(word) < max_len:
+                    top = tops[-1]
+                    if c > top:
+                        top = c
+                    tops.append(top)
+                    letters.append(iter(range(min(q, top + 2))))
+                    break
+                word.pop()
+            pop()
+        else:
+            letters.pop()
+            tops.pop()
+            if letters:
+                word.pop()
+                pop()
 
 
 def enumerate_rich(
@@ -56,49 +104,24 @@ def enumerate_rich(
         raise ValueError("alphabet size must be >= 1")
     if n < 0:
         raise ValueError("length must be >= 0")
-    tree = Eertree()
-    prefix: list[int] = []
-
-    def walk(max_used: int) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield Word.from_symbols(prefix, q)
-            return
-        for c in _allowed(q, max_used, canonical):
-            created = tree.append(c)
-            if created:
-                prefix.append(c)
-                yield from walk(max(max_used, c))
-                prefix.pop()
-            tree.pop()
-
-    yield from walk(-1)
+    for word in _walk(q, (), n, canonical):
+        if len(word) == n:
+            yield Word.from_symbols(word, q)
 
 
-def _count_completions(
-    tree: Eertree, remaining: int, q: int, max_used: int, canonical: bool
-) -> int:
-    if remaining == 0:
-        return 1
-    total = 0
-    for c in _allowed(q, max_used, canonical):
-        if tree.append(c):
-            total += _count_completions(
-                tree, remaining - 1, q, max(max_used, c), canonical
-            )
-        tree.pop()
-    return total
+def _counts_below(
+    args: tuple[int, tuple[int, ...], int, bool],
+) -> tuple[int, ...]:
+    """Per-length counts of the rich words that extend one prefix.
 
-
-def _count_shard(args: tuple[int, tuple[int, ...], int, bool]) -> int:
-    """Completion count below one rich prefix (worker entry point)."""
-    q, prefix, n, canonical = args
-    tree = Eertree()
-    for c in prefix:
-        if not tree.append(c):
-            raise AssertionError("shard prefix is not rich")
-    return _count_completions(
-        tree, n - len(prefix), q, max(prefix, default=-1), canonical
-    )
+    Entry d counts the extensions of length d, so entries below the prefix
+    length are 0 and the entry at it is 1.  This is the worker entry point.
+    """
+    q, prefix, max_len, canonical = args
+    counts = [0] * (max_len + 1)
+    for word in _walk(q, prefix, max_len, canonical):
+        counts[len(word)] += 1
+    return tuple(counts)
 
 
 def count_rich(
@@ -109,43 +132,7 @@ def count_rich(
     canonical: bool = False,
 ) -> int:
     """Number of rich words of length n over {0..q-1}."""
-    if q < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if n < 0:
-        raise ValueError("length must be >= 0")
-    if jobs <= 1 or n <= shard_prefix:
-        tree = Eertree()
-        return _count_completions(tree, n, q, -1, canonical)
-    prefixes = [
-        tuple(w) for w in enumerate_rich(q, shard_prefix, canonical=canonical)
-    ]
-    tasks = [(q, p, n, canonical) for p in prefixes]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_shard, tasks, chunksize=16))
-
-
-def _counts_shard(
-    args: tuple[int, tuple[int, ...], int, bool],
-) -> tuple[int, ...]:
-    """Per-depth subtree counts below one rich prefix (worker entry point)."""
-    q, prefix, max_len, canonical = args
-    tree = Eertree()
-    for c in prefix:
-        if not tree.append(c):
-            raise AssertionError("shard prefix is not rich")
-    counts = [0] * (max_len + 1)
-
-    def walk(depth: int, max_used: int) -> None:
-        counts[depth] += 1
-        if depth == max_len:
-            return
-        for c in _allowed(q, max_used, canonical):
-            if tree.append(c):
-                walk(depth + 1, max(max_used, c))
-            tree.pop()
-
-    walk(len(prefix), max(prefix, default=-1))
-    return tuple(counts)
+    return rich_counts(q, n, jobs, shard_prefix, canonical).counts[n]
 
 
 def rich_counts(
@@ -161,49 +148,22 @@ def rich_counts(
     if max_len < 0:
         raise ValueError("length must be >= 0")
     start = time.perf_counter()
-    marks = [0.0] * (max_len + 1)
     if jobs <= 1 or max_len <= shard_prefix:
+        counts = _counts_below((q, (), max_len, canonical))
+    else:
         counts = [0] * (max_len + 1)
-        tree = Eertree()
-
-        def walk(depth: int, max_used: int) -> None:
-            counts[depth] += 1
-            marks[depth] = time.perf_counter() - start
-            if depth == max_len:
-                return
-            for c in _allowed(q, max_used, canonical):
-                if tree.append(c):
-                    walk(depth + 1, max(max_used, c))
-                tree.pop()
-
-        walk(0, -1)
-        return EnumStats(q, tuple(counts), tuple(marks), canonical)
-    p = min(shard_prefix, max_len)
-    counts = [0] * (max_len + 1)
-    prefixes: list[tuple[int, ...]] = []
-    tree = Eertree()
-
-    def head_walk(depth: int, max_used: int, prefix: list[int]) -> None:
-        counts[depth] += 1
-        if depth == p:
-            prefixes.append(tuple(prefix))
-            return
-        for c in _allowed(q, max_used, canonical):
-            if tree.append(c):
-                prefix.append(c)
-                head_walk(depth + 1, max(max_used, c), prefix)
-                prefix.pop()
-            tree.pop()
-
-    head_walk(0, -1, [])
-    tasks = [(q, pre, max_len, canonical) for pre in prefixes]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for shard in pool.map(_counts_shard, tasks, chunksize=16):
-            for d in range(p + 1, max_len + 1):
-                counts[d] += shard[d]
-    for d in range(max_len + 1):
-        marks[d] = time.perf_counter() - start
-    return EnumStats(q, tuple(counts), tuple(marks), canonical)
+        prefixes = []
+        for word in _walk(q, (), shard_prefix, canonical):
+            counts[len(word)] += 1
+            if len(word) == shard_prefix:
+                prefixes.append(tuple(word))
+        tasks = [(q, pre, max_len, canonical) for pre in prefixes]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for shard in pool.map(_counts_below, tasks, chunksize=16):
+                for d in range(shard_prefix + 1, max_len + 1):
+                    counts[d] += shard[d]
+    elapsed = time.perf_counter() - start
+    return EnumStats(q, tuple(counts), (elapsed,) * (max_len + 1), canonical)
 
 
 def growth_root(q: int, n: int, count: Optional[int] = None) -> float:

@@ -108,6 +108,26 @@ class Eertree:
         return self._link[node]
 
 
+def _tree_of(chars: str) -> Eertree:
+    """An Eertree of the word packed in chars (symbol i stored as chr(i))."""
+    tree = Eertree()
+    for c in map(ord, chars):
+        tree.append(c)
+    return tree
+
+
+def _suffix_palindromes(tree: Eertree) -> tuple[int, int]:
+    """Nodes of the longest and the longest proper palindromic suffix.
+
+    Node 1 is the empty palindrome; the empty word has it for both.
+    """
+    last = tree.last_node()
+    if len(tree) == 0 or tree.node_length(last) < len(tree):
+        return last, last
+    # the whole word is a palindrome: its suffix link is the longest proper one
+    return last, tree.suffix_link(last)
+
+
 class PalIndex:
     """Immutable palindromic-factor index of one word."""
 
@@ -141,23 +161,9 @@ class PalIndex:
             "_by_length",
             {n: frozenset(s) for n, s in by_length.items()},
         )
-        if len(word) == 0:
-            lps_w = Word("", q)
-            lpps_w = Word("", q)
-        else:
-            last = tree.last_node()
-            lps_w = tree.node_word(last, q)
-            if len(lps_w) < len(word) or len(word) == 1:
-                lpps_w = lps_w if len(lps_w) < len(word) else Word("", q)
-            else:
-                link = tree.suffix_link(last)
-                lpps_w = (
-                    tree.node_word(link, q)
-                    if tree.node_length(link) > 0
-                    else Word("", q)
-                )
-        object.__setattr__(self, "lps_word", lps_w)
-        object.__setattr__(self, "lpps_word", lpps_w)
+        lps_node, lpps_node = _suffix_palindromes(tree)
+        object.__setattr__(self, "lps_word", tree.node_word(lps_node, q))
+        object.__setattr__(self, "lpps_word", tree.node_word(lpps_node, q))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PalIndex is immutable")
@@ -183,10 +189,6 @@ class PalIndex:
         return sorted(self._by_length)
 
 
-def build_index(w: Word) -> PalIndex:
-    return PalIndex(w)
-
-
 def is_rich(w: Word) -> bool:
     """A word is rich iff every prefix extension creates a new palindrome."""
     tree = Eertree()
@@ -198,14 +200,15 @@ def is_rich(w: Word) -> bool:
 
 def defect(w: Word) -> int:
     """|w| + 1 minus the number of distinct palindromic factors (with the empty one)."""
-    return len(w) + 1 - PalIndex(w).distinct_count
+    return len(w) - _tree_of(w.chars).distinct_nonempty
 
 
 def lps(w: Word) -> Word:
     """Longest palindromic suffix; rejects the empty word."""
     if len(w) == 0:
         raise ValueError("lps of the empty word is undefined")
-    return PalIndex(w).lps_word
+    tree = _tree_of(w.chars)
+    return tree.node_word(_suffix_palindromes(tree)[0], w.alphabet_size)
 
 
 def lpp(w: Word) -> Word:
@@ -217,7 +220,8 @@ def lpp(w: Word) -> Word:
 
 @functools.lru_cache(maxsize=65536)
 def _lpps_of(chars: str, q: int) -> Word:
-    return PalIndex(Word(chars, q)).lpps_word
+    tree = _tree_of(chars)
+    return tree.node_word(_suffix_palindromes(tree)[1], q)
 
 
 def lpps(w: Word) -> Word:

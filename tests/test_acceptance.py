@@ -22,7 +22,7 @@ from richlab.bounds import (
 from richlab.crosscheck import exhaustive_check, parse_cells, run_cells
 from richlab.enumeration import count_rich, growth_root
 from richlab.oracle import oracle_is_rich
-from richlab.paltree import build_index
+from richlab.paltree import PalIndex
 from richlab.structures import (
     cores_with_lpps,
     pal_compress,
@@ -68,7 +68,7 @@ def test_criterion_1_golden_examples():
 
     # the 37-symbol word: switches and palindromic factors at lengths 7/5
     assert {r.word.text for r in switches(W37, 7)} == {"2110114", "4110116"}
-    idx = build_index(W37)
+    idx = PalIndex(W37)
     pal7 = {p.text for p in idx.palindromes_of_length(7)}
     pal5 = {p.text for p in idx.palindromes_of_length(5)}
     listed7 = {"1233321", "2110112", "1145411", "6110116", "6778776"}
@@ -97,7 +97,7 @@ def test_criterion_1_golden_examples():
     assert pal_reconstruct(even.fragment, 12) == W("211221122112")
 
     # factor/palindrome counts of the 19-symbol word and the equality case
-    p3 = build_index(W3)
+    p3 = PalIndex(W3)
     assert (len(factors(W3, 3)), len(factors(W3, 4))) == (7, 10)
     assert (len(p3.palindromes_of_length(3)), len(p3.palindromes_of_length(4))) == (3, 2)
     rep = check_reversal_inequality(W3, 3)

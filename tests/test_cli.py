@@ -318,6 +318,16 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, [])[0] == 2
 
 
+def test_unexpected_error_exits_three(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("walker broke")
+
+    monkeypatch.setattr("richlab.cli._cmd_closure", boom)
+    code, out, err = run(capsys, ["closure", "0110"])
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: walker broke\n"
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

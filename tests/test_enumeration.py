@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+from richlab.cli import main
 from richlab.enumeration import (
     EnumStats,
+    _counts_below,
     count_rich,
     enumerate_rich,
     growth_root,
@@ -122,6 +124,27 @@ def test_parallel_counting_matches_sequential():
     seq = rich_counts(2, 11, jobs=1)
     par = rich_counts(2, 11, jobs=2, shard_prefix=4)
     assert par.counts == seq.counts
+    seq = rich_counts(3, 8, jobs=1, canonical=True)
+    par = rich_counts(3, 8, jobs=2, shard_prefix=3, canonical=True)
+    assert par.counts == seq.counts
+    assert par.canonical
+    # n <= shard_prefix falls back to the sequential walk
+    assert count_rich(2, 4, jobs=2, shard_prefix=4) == PI2[4]
+    assert count_rich(3, 3, jobs=2, shard_prefix=8) == PI3[3]
+
+
+def test_deep_walks_do_not_hit_the_recursion_limit(capsys):
+    # over one letter every word is rich, so the walk is one long path
+    assert count_rich(1, 3000) == 1
+    assert len(list(enumerate_rich(1, 2000))) == 1
+    assert main(["enumerate", "--q", "1", "--max-len", "1500"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 1500
+
+
+def test_counts_below_rejects_a_non_rich_prefix():
+    with pytest.raises(ValueError):
+        _counts_below((3, (0, 1, 2, 0), 6, False))
+    assert _counts_below((3, (0, 1, 2), 4, False)) == (0, 0, 0, 1, 2)
 
 
 def test_growth_root_goldens():

@@ -8,7 +8,6 @@ from richlab.oracle import oracle_palindrome_set
 from richlab.paltree import (
     Eertree,
     PalIndex,
-    build_index,
     defect,
     is_rich,
     lpp,
@@ -41,7 +40,7 @@ def test_append_flags_match_snapshot_index():
         w = W(text)
         tree = Eertree()
         flags = [tree.append(c) for c in w]
-        assert tuple(flags) == build_index(w).created_flags
+        assert tuple(flags) == PalIndex(w).created_flags
         assert sum(flags) == tree.distinct_nonempty
 
 
@@ -77,14 +76,14 @@ def test_pop_exactly_undoes_node_creation():
 
 
 def test_index_counts_per_prefix():
-    idx = build_index(W("0110"))
+    idx = PalIndex(W("0110"))
     # prefixes: eps, 0, 01, 011, 0110 -> 1, 2, 3, 4, 5 palindromes incl. eps
     assert idx.counts_by_prefix == (1, 2, 3, 4, 5)
     assert idx.distinct_count == 5
 
 
 def test_index_of_empty_word():
-    idx = build_index(Word(""))
+    idx = PalIndex(Word(""))
     assert idx.distinct_count == 1
     assert idx.palindromes() == frozenset([Word("")])
     assert idx.lps_word == Word("")
@@ -92,7 +91,7 @@ def test_index_of_empty_word():
 
 
 def test_length_seven_palindromes_of_running_example():
-    idx = build_index(W37)
+    idx = PalIndex(W37)
     got = {u.text for u in idx.palindromes_of_length(7)}
     assert got == {
         "1233321", "2110112", "1145411", "6110116", "6778776", "0116110",
@@ -105,7 +104,7 @@ def test_length_seven_palindromes_of_running_example():
 def test_node_counts_match_oracle_exhaustively():
     # one index node per distinct palindromic factor, length by length
     for w in all_words(2, 10):
-        idx = build_index(w)
+        idx = PalIndex(w)
         by_len = {}
         for u in oracle_palindrome_set(w):
             by_len[len(u)] = by_len.get(len(u), 0) + 1
@@ -116,7 +115,7 @@ def test_node_counts_match_oracle_exhaustively():
 def test_palindrome_set_matches_oracle_on_random_ternary_word():
     rng = random.Random(37)
     w = Word.from_symbols([rng.randrange(3) for _ in range(200)], 3)
-    assert build_index(w).palindromes() == oracle_palindrome_set(w)
+    assert PalIndex(w).palindromes() == oracle_palindrome_set(w)
 
 
 def test_palindrome_length_counts_golden():

@@ -12,7 +12,7 @@ from richlab.oracle import (
     oracle_max_switch_count,
     oracle_switches,
 )
-from richlab.paltree import build_index, is_rich, lpps
+from richlab.paltree import PalIndex, is_rich, lpps
 from richlab.structures import (
     CompressionDomainError,
     complete_returns,
@@ -76,7 +76,7 @@ def test_complete_returns_matches_oracle():
 
 def test_complete_returns_to_palindromes_are_palindromes_in_rich_words():
     for w in rich_words(2, 11):
-        for u in build_index(w).palindromes():
+        for u in PalIndex(w).palindromes():
             if len(u) == 0:
                 continue
             assert all(is_palindrome(r) for r in complete_returns(w, u))
@@ -116,7 +116,7 @@ def test_switch_pairs_golden():
 
 def test_core_without_switch_stays_out():
     # 110011 is a length-6 palindromic factor of WG yet is no switch core
-    idx = build_index(WG)
+    idx = PalIndex(WG)
     assert W("110011") in idx.palindromes_of_length(6)
     assert W("110011") not in switch_cores(WG, 8)
 
