@@ -1,9 +1,18 @@
 """Inequality suite over rich-word statistics.
 
-Twelve checks (B1..B12) relate palindromic complexity, factor complexity,
-switch counts and reversal closure.  Every check returns a BoundReport with
-the exact left-hand side and either an exact big-integer right-hand side or
-its base-2 logarithm when the value is astronomically large.
+Twelve inequalities (B1..B12) relate palindromic complexity, factor
+complexity, switch counts and reversal closure.  One table, _TABLE, holds
+each bound once: where it applies (orders, richness, reversal closure), its
+left-hand side read from a WordProfile, and its right-hand side, either an
+exact integer or, when the value is astronomically large, its base-2
+logarithm with a high-precision thunk.  A right-hand side that depends only
+on (q, n) is computed once per (q, n) and call.
+
+Every check walks the table as rows.  evaluate_word and the check_*
+wrappers turn each row into a BoundReport with the exact left-hand side;
+sweep_rich folds the rows of every rich word straight into per-bound
+aggregates and builds a BoundReport only for a violation (and for B12,
+which runs once per order).
 
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
@@ -19,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import chain, starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
 
-from .paltree import Eertree, lpps
+from .paltree import Eertree, _lpps_chars
 from .structures import _switch_starts, palindromic_closure
 from .words import Word
 
@@ -45,7 +55,10 @@ class ClosureRequiredError(ValueError):
     """The factor set of order n+1 must be closed under reversal."""
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class BoundReport:
     """Outcome of one inequality check on one word (or pure arithmetic)."""
 
@@ -62,16 +75,32 @@ class BoundReport:
     citation: str
     detail: str
 
+    def __init__(
+        self, bound_id, word_length, n, q, lhs, rhs, rhs_log2, holds, equality,
+        covered, citation, detail,
+    ):
+        # the generated frozen __init__ looks object.__setattr__ up per field;
+        # verify builds thousands of reports per word
+        _setattr(self, "bound_id", bound_id)
+        _setattr(self, "word_length", word_length)
+        _setattr(self, "n", n)
+        _setattr(self, "q", q)
+        _setattr(self, "lhs", lhs)
+        _setattr(self, "rhs", rhs)
+        _setattr(self, "rhs_log2", rhs_log2)
+        _setattr(self, "holds", holds)
+        _setattr(self, "equality", equality)
+        _setattr(self, "covered", covered)
+        _setattr(self, "citation", citation)
+        _setattr(self, "detail", detail)
+
     @property
     def rhs_is_log(self) -> bool:
         return self.rhs is None
 
     def slack_log2(self) -> Optional[float]:
         """log2(rhs) - log2(lhs); None when lhs is 0."""
-        if self.lhs == 0:
-            return None
-        r = self.rhs_log2 if self.rhs is None else math.log2(self.rhs)
-        return r - math.log2(self.lhs)
+        return _slack(self.lhs, self.rhs, self.rhs_log2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,6 +157,9 @@ class WordProfile:
 
     def pal_at(self, n: int) -> int:
         return self.pal[n] if 0 <= n < len(self.pal) else (1 if n == 0 else 0)
+
+    def sw_at(self, n: int) -> int:
+        return self.sw[n] if 0 <= n < len(self.sw) else 0
 
     def gamma_max_at(self, n: int) -> int:
         if n < 0:
@@ -263,31 +295,16 @@ def _require_rich(profile: WordProfile, force: bool) -> bool:
     )
 
 
-def _exact_report(
-    bound_id: str,
-    profile: Optional[WordProfile],
-    n: int,
-    lhs: int,
-    rhs: int,
-    citation: str,
-    detail: str,
-    covered: bool = True,
-    equality: Optional[bool] = None,
-) -> BoundReport:
-    return BoundReport(
-        bound_id=bound_id,
-        word_length=len(profile.word) if profile else None,
-        n=n,
-        q=profile.q if profile else None,
-        lhs=lhs,
-        rhs=rhs,
-        rhs_log2=None,
-        holds=lhs <= rhs,
-        equality=equality,
-        covered=covered,
-        citation=citation,
-        detail=detail,
-    )
+def _require_closed(profile: WordProfile, n: int) -> None:
+    if n <= 0:
+        raise ValueError("needs n > 0")
+    if len(profile.word) < n + 1:
+        raise ValueError(f"needs |w| >= {n + 1}")
+    if not profile.closed_at(n + 1):
+        raise ClosureRequiredError(
+            f"factors of length {n + 1} of {profile.word.text!r} "
+            "are not closed under reversal"
+        )
 
 
 def _decide_log(lhs: int, rhs_log2: float, hp_rhs_log2) -> bool:
@@ -310,38 +327,22 @@ def _decide_log(lhs: int, rhs_log2: float, hp_rhs_log2) -> bool:
         return left <= right + mpmath.mpf(2) ** -900
 
 
-def _log_report(
-    bound_id: str,
-    profile: Optional[WordProfile],
-    n: int,
-    lhs: int,
-    exact_rhs: Optional[int],
-    rhs_log2: float,
-    hp_rhs_log2,
-    citation: str,
-    detail: str,
-    covered: bool = True,
-) -> BoundReport:
-    """Report for a bound whose RHS may need log-domain treatment."""
-    if exact_rhs is not None:
-        return _exact_report(
-            bound_id, profile, n, lhs, exact_rhs, citation, detail, covered
-        )
-    holds = _decide_log(lhs, rhs_log2, hp_rhs_log2)
-    return BoundReport(
-        bound_id=bound_id,
-        word_length=len(profile.word) if profile else None,
-        n=n,
-        q=profile.q if profile else None,
-        lhs=lhs,
-        rhs=None,
-        rhs_log2=rhs_log2,
-        holds=holds,
-        equality=None,
-        covered=covered,
-        citation=citation,
-        detail=detail,
-    )
+def _slack(lhs: int, rhs: Optional[int], rhs_log2: Optional[float]) -> Optional[float]:
+    """log2(rhs) - log2(lhs); None when lhs is 0."""
+    if lhs == 0:
+        return None
+    return (rhs_log2 if rhs is None else math.log2(rhs)) - math.log2(lhs)
+
+
+# ---------------------------------------------------------------- right-hand sides
+
+
+class _Rhs(NamedTuple):
+    """A closed-form right-hand side that may be too large to hold exactly."""
+
+    exact: Optional[int]  # the value, when integral and at most EXACT_LOG2_CAP bits
+    log2: float
+    hp: Callable  # log2 at the current mpmath precision, for escalations
 
 
 def _int_log2_or_none(n: int) -> Optional[int]:
@@ -351,29 +352,380 @@ def _int_log2_or_none(n: int) -> Optional[int]:
     return None
 
 
-# ---------------------------------------------------------------- B1
+def _exact_power(coeff: int, base: int, e: Optional[int], addend: int = 0) -> Optional[int]:
+    """coeff * base**e + addend when e is an integer and the power fits the cap."""
+    if e is not None and math.log2(coeff) + e * math.log2(base) <= EXACT_LOG2_CAP:
+        return coeff * base**e + addend
+    return None
+
+
+def _power_rhs(coeff: int, k: int, q: int, n: int) -> _Rhs:
+    """coeff * (4*q^10*n)**(k*log2(n)), the closed form of B5, B6 and B7."""
+    e = _int_log2_or_none(n)
+    exact = _exact_power(coeff, 4 * q**10 * n, None if e is None else k * e)
+    log2 = math.log2(coeff) + k * math.log2(n) * (
+        2 + 10 * math.log2(q) + math.log2(n)
+    )
+
+    def hp():
+        ln = mpmath.log(n, 2)
+        return mpmath.log(coeff, 2) + k * ln * (2 + 10 * mpmath.log(q, 2) + ln)
+
+    return _Rhs(exact, log2, hp)
+
+
+def _final_rhs(coeff: int, addend: int, q: int, n: int) -> _Rhs:
+    """coeff * (8*q^10*n)**log2(2n) + addend, the closed form of B10 and B11."""
+    base = 8 * q**10 * n
+    exact = _exact_power(coeff, base, _int_log2_or_none(2 * n), addend)
+    t = math.log2(coeff) + math.log2(2 * n) * math.log2(base)
+    # fold in the small additive term; beyond float range it vanishes anyway
+    log2 = t + math.log1p(addend * 2.0**-t) / math.log(2) if t <= 1020 else t
+
+    def hp():
+        t = mpmath.log(coeff, 2) + mpmath.log(2 * n, 2) * mpmath.log(base, 2)
+        return t + mpmath.log(1 + mpmath.mpf(addend) / mpmath.power(2, t), 2)
+
+    return _Rhs(exact, log2, hp)
+
+
+def _ceil_product_rhs(n: int) -> _Rhs:
+    """(2*sqrt(n))**log2(n), exact when n = 4^t."""
+    e = _int_log2_or_none(n)
+    exact = None
+    if e is not None and e % 2 == 0:
+        exact = _exact_power(1, 2 << (e // 2), e)  # 2*sqrt(n) = 2^(e/2+1)
+    log2n = math.log2(n)
+
+    def hp():
+        ln = mpmath.log(n, 2)
+        return ln * (1 + ln / 2)
+
+    return _Rhs(exact, log2n * (1 + log2n / 2), hp)
+
+
+def _ceil_product(n: int) -> int:
+    """prod_{j=1..floor(log2 n)} ceil(n/2^j)."""
+    lhs = 1
+    for j in range(1, n.bit_length()):
+        lhs *= (n + (1 << j) - 1) >> j
+    return lhs
+
+
+def _lpps_fibers(profile: WordProfile, n: int) -> dict[str, int]:
+    """Number of length-n switch cores per lpps value (as chars)."""
+    fibers: dict[str, int] = {}
+    for u in profile.cores_at(n):
+        r = _lpps_chars(u, profile.q)
+        fibers[r] = fibers.get(r, 0) + 1
+    return fibers
+
+
+# ---------------------------------------------------------------- the table
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """One inequality: where it applies, its two sides, and its report text."""
+
+    bound_id: str
+    citation: str
+    lhs: Optional[Callable]  # (profile, n) -> int; None for B2's lpps fibers
+    rhs: Callable  # (profile, n) -> int or _Rhs
+    detail: Callable  # (profile, n, lhs, rhs, r) -> str
+    min_n: int = 1  # smallest admissible order
+    domain: Optional[str] = None  # error for an explicit order below min_n
+    rich: bool = True  # proved for rich words only
+    closed: bool = False  # needs |w| >= n+1 and F(w,n+1) closed under reversal
+    cache_rhs: bool = False  # rhs reads only q and n: computed once per (q, n)
+    equality: bool = False  # attach the equality verdict on rich words
+
+
+def _log_detail(p, n, lhs, rhs, r):
+    return f"log2(rhs)={rhs.log2:.6g}"
+
+
+def _approx_log_detail(p, n, lhs, rhs, r):
+    return f"log2(rhs)~{rhs.log2:.6g}"
+
+
+_TABLE = (
+    _Bound(
+        "B1", "pal(n) <= 2*switch(n) + pal(n-2)",
+        lhs=lambda p, n: p.pal_at(n),
+        rhs=lambda p, n: 2 * p.sw_at(n) + p.pal_at(n - 2),
+        detail=lambda p, n, lhs, rhs, r: (
+            f"2*{p.sw_at(n)}+{p.pal_at(n - 2)}={rhs} >= {lhs}"
+        ),
+        min_n=3, domain="B1 needs n > 2",
+    ),
+    _Bound(
+        "B2", "|cores of length n with lpps r| <= q(q-1)",
+        lhs=None,
+        rhs=lambda p, n: p.q * (p.q - 1),
+        detail=lambda p, n, lhs, rhs, r: f"r={Word(r, p.q).text!r}: {lhs} <= {rhs}",
+    ),
+    _Bound(
+        "B3", "pal(n) <= (q+1)*n*maxswitch(n)",
+        lhs=lambda p, n: p.pal_at(n),
+        rhs=lambda p, n: (p.q + 1) * n * p.gamma_max_at(n),
+        detail=lambda p, n, lhs, rhs, r: (
+            f"({p.q}+1)*{n}*{p.gamma_max_at(n)}={rhs} >= {lhs}"
+        ),
+        domain="B3 needs n > 0",
+    ),
+    _Bound(
+        "B4", "maxswitch(n) <= q^5*ceil(n/2)^2*maxswitch(ceil(n/2))",
+        lhs=lambda p, n: p.gamma_max_at(n),
+        rhs=lambda p, n: p.q**5 * ((n + 1) // 2) ** 2 * p.gamma_max_at((n + 1) // 2),
+        detail=lambda p, n, lhs, rhs, r: (
+            f"q^5*{(n + 1) // 2}^2*{p.gamma_max_at((n + 1) // 2)}={rhs} >= {lhs}"
+        ),
+        domain="B4 needs n > 0",
+    ),
+    _Bound(
+        "B5", "maxswitch(n) <= (4*q^10*n)^log2(n)",
+        lhs=lambda p, n: p.gamma_max_at(n),
+        rhs=lambda p, n: _power_rhs(1, 1, p.q, n),
+        detail=_log_detail,
+        domain="B5 needs n > 0", cache_rhs=True,
+    ),
+    _Bound(
+        "B6", "pal(n) <= (q+1)*n*(4*q^10*n)^log2(n)",
+        lhs=lambda p, n: p.pal_at(n),
+        rhs=lambda p, n: _power_rhs((p.q + 1) * n, 1, p.q, n),
+        detail=_log_detail,
+        domain="B6 needs n > 0", cache_rhs=True,
+    ),
+    _Bound(
+        "B7", "fac(n) <= (q+1)^2*n^4*(4*q^10*n)^(2*log2(n))",
+        lhs=lambda p, n: p.fac_at(n),
+        rhs=lambda p, n: _power_rhs((p.q + 1) ** 2 * n**4, 2, p.q, n),
+        detail=_log_detail,
+        domain="B7 needs n > 0", cache_rhs=True,
+    ),
+    _Bound(
+        "B8", "pal(n)+pal(n+1) <= fac(n+1)-fac(n)+2 (equality on rich words)",
+        lhs=lambda p, n: p.pal_at(n) + p.pal_at(n + 1),
+        rhs=lambda p, n: p.fac_at(n + 1) - p.fac_at(n) + 2,
+        detail=lambda p, n, lhs, rhs, r: (
+            f"{p.pal_at(n)}+{p.pal_at(n + 1)} {'=' if lhs == rhs else '<='} "
+            f"{p.fac_at(n + 1)}-{p.fac_at(n)}+2"
+        ),
+        rich=False, closed=True, equality=True,
+    ),
+    _Bound(
+        "B9", "fac(n) <= 2(n-1)*maxpal(n) - 2(n-1) + q",
+        lhs=lambda p, n: p.fac_at(n),
+        rhs=lambda p, n: 2 * (n - 1) * p.pal_max_at(n) - 2 * (n - 1) + p.q,
+        detail=lambda p, n, lhs, rhs, r: (
+            f"{lhs} <= 2*{n - 1}*{p.pal_max_at(n)} - 2*{n - 1} + {p.q} = {rhs}"
+        ),
+        closed=True,
+    ),
+    _Bound(
+        "B10", "fac(n) <= 2(2n-1)*(q+1)*2n*(8*q^10*n)^log2(2n) - 2(2n-1) + q",
+        lhs=lambda p, n: p.fac_at(n),
+        rhs=lambda p, n: _final_rhs(
+            2 * (2 * n - 1) * (p.q + 1) * 2 * n, p.q - 2 * (2 * n - 1), p.q, n
+        ),
+        detail=_approx_log_detail,
+        domain="B10/B11 need n > 0", cache_rhs=True,
+    ),
+    _Bound(
+        "B11", "fac(n) <= (q+1)*8*n^2*(8*q^10*n)^log2(2n) + q",
+        lhs=lambda p, n: p.fac_at(n),
+        rhs=lambda p, n: _final_rhs((p.q + 1) * 8 * n**2, p.q, p.q, n),
+        detail=_approx_log_detail,
+        domain="B10/B11 need n > 0", cache_rhs=True,
+    ),
+    _Bound(
+        "B12", "prod_{j<=floor(log2 n)} ceil(n/2^j) <= (2*sqrt(n))^log2(n)",
+        lhs=lambda p, n: _ceil_product(n),
+        rhs=lambda p, n: _ceil_product_rhs(n),
+        detail=lambda p, n, lhs, rhs, r: (
+            f"k={n.bit_length() - 1}, lhs={lhs if lhs < 10**24 else 'big'}"
+        ),
+        domain="B12 needs n >= 1", rich=False, cache_rhs=True,
+    ),
+)
+_BOUNDS = {b.bound_id: b for b in _TABLE}
+
+# Report order when every admissible order is checked: bound by bound, except
+# that B10 and B11 alternate at each n.
+_WORD_GROUPS = tuple((b,) for b in BOUND_IDS[:9]) + (("B10", "B11"),)
+# On a palindromic closure, B8 and B9 alternate at each n.
+_CLOSURE_GROUP = ("B8", "B9")
+
+
+def _orders(b: _Bound, p: WordProfile) -> Iterable[int]:
+    """Every order at which b applies to the profiled word."""
+    L = len(p.word)
+    if b.closed:
+        return [n for n in range(b.min_n, L) if p.closed[n + 1]]
+    return range(b.min_n, L + 1)
+
+
+def _check_order(b: _Bound, p: Optional[WordProfile], n: int) -> None:
+    """Raise unless b applies at order n (richness aside)."""
+    if b.domain is not None and n < b.min_n:
+        raise ValueError(b.domain)
+    if b.closed:
+        _require_closed(p, n)
+
+
+def inadmissible_bounds(
+    w: Word, n: int, bound_ids: Sequence[str] = BOUND_IDS
+) -> dict[str, str]:
+    """The bounds that do not apply to w at order n, each with the reason.
+
+    Richness is not an order condition, so it is left to the check itself.
+    """
+    profile = word_profile(w)
+    reasons = {}
+    for bound_id in bound_ids:
+        try:
+            _check_order(_BOUNDS[bound_id], profile, n)
+        except ValueError as exc:
+            reasons[bound_id] = str(exc)
+    return reasons
+
+
+def _rows(
+    p: Optional[WordProfile],
+    groups: Sequence[Sequence[str]],
+    ns: Optional[Iterable[int]],
+    force: bool,
+    cache: Optional[dict],
+    memo: Optional[dict],
+) -> Iterator[tuple]:
+    """One row per report, in report order.
+
+    A row is (bound, profile, n, r, lhs, rhs, covered, holds, equality):
+    everything a BoundReport holds, with rhs as the table computed it and r
+    the lpps value of a B2 row.  ns=None walks each group's admissible
+    orders; an explicit order where a bound does not apply raises.
+    cache keeps (q, n)-only right-hand sides, memo the log-domain decisions
+    by (bound, q, n, lhs); both are pure functions of their keys.  Either may
+    be None where no key repeats, as within one word.
+    """
+    q = p.q if p is not None else None
+    explicit = ns is not None
+    for group in groups:
+        for n in ns if explicit else _orders(_BOUNDS[group[0]], p):
+            for bound_id in group:
+                b = _BOUNDS.get(bound_id)
+                if b is None:
+                    raise ValueError(f"unknown bound {bound_id!r}")
+                if explicit:
+                    _check_order(b, p, n)
+                if b.lhs is not None:
+                    terms = ((None, b.lhs(p, n)),)
+                else:
+                    # B2 has one report per lpps value; an explicit order
+                    # with no switch cores still reports the empty value
+                    terms = sorted(_lpps_fibers(p, n).items())
+                    if not terms and explicit:
+                        terms = [("", 0)]
+                    if not terms:
+                        continue
+                covered = not b.rich or p.rich or _require_rich(p, force)
+                if b.cache_rhs and cache is not None:
+                    key = (bound_id, q, n)
+                    rhs = cache.get(key)
+                    if rhs is None:
+                        rhs = cache[key] = b.rhs(p, n)
+                else:
+                    rhs = b.rhs(p, n)
+                for r, lhs in terms:
+                    if rhs.__class__ is int:
+                        holds = lhs <= rhs
+                    elif rhs.exact is not None:
+                        holds = lhs <= rhs.exact
+                    elif memo is None:
+                        holds = _decide_log(lhs, rhs.log2, rhs.hp)
+                    else:
+                        key = (bound_id, q, n, lhs)
+                        holds = memo.get(key)
+                        if holds is None:
+                            holds = memo[key] = _decide_log(lhs, rhs.log2, rhs.hp)
+                    equality = (lhs == rhs) if b.equality and p.rich else None
+                    yield b, p, n, r, lhs, rhs, covered, holds, equality
+
+
+def _word_rows(
+    w: Word,
+    bound_ids: Sequence[str],
+    ns: Optional[Sequence[int]],
+    force: bool,
+    include_closure: bool,
+    cache: Optional[dict],
+    memo: Optional[dict],
+) -> Iterator[tuple]:
+    """The rows of evaluate_word(w, bound_ids, ns, force, include_closure)."""
+    profile = word_profile(w)
+    if ns is None:
+        wanted = set(bound_ids)
+        groups = [[b for b in g if b in wanted] for g in _WORD_GROUPS]
+        groups = [g for g in groups if g]
+    else:
+        groups = [[b for b in bound_ids if b != "B12"]]
+    parts = [_rows(profile, groups, ns, force, cache, memo)]
+    if "B12" in bound_ids:
+        b12_ns = ns if ns is not None else range(1, max(len(w), 1) + 1)
+        parts.append(_rows(None, [("B12",)], b12_ns, force, cache, memo))
+    group = [b for b in _CLOSURE_GROUP if b in bound_ids]
+    if include_closure and group:
+        closure = palindromic_closure(w)
+        if closure != w:
+            if ns is not None:
+                ns = [n for n in ns if n < len(closure)]
+            cp = word_profile(closure)
+            parts.append(_rows(cp, [group], ns, force, cache, memo))
+    return chain.from_iterable(parts)
+
+
+def _report(b, p, n, r, lhs, rhs, covered, holds, equality) -> BoundReport:
+    """The BoundReport of one row."""
+    if rhs.__class__ is int:
+        exact, log2 = rhs, None
+    else:
+        exact, log2 = rhs.exact, None if rhs.exact is not None else rhs.log2
+    # positional, in field order: cheaper than keywords, per report of verify
+    return BoundReport(
+        b.bound_id,
+        len(p.word) if p else None,
+        n,
+        p.q if p else None,
+        lhs,
+        exact,
+        log2,
+        holds,
+        equality,
+        covered,
+        b.citation,
+        b.detail(p, n, lhs, rhs, r),
+    )
+
+
+def _check(
+    bound_ids: Sequence[str], w: Optional[Word], n: int, force: bool,
+    profile: Optional[WordProfile],
+) -> list[BoundReport]:
+    """The reports of the given bounds at one explicit order."""
+    if w is not None:
+        profile = profile or word_profile(w)
+    return list(starmap(_report, _rows(profile, [bound_ids], [n], force, None, None)))
+
+
+# ---------------------------------------------------------------- check_*
 
 
 def check_switch_palindrome_bound(
     w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
 ) -> BoundReport:
     """B1: pal(n) <= 2*|switches(n)| + pal(n-2) on rich words, n > 2."""
-    if n <= 2:
-        raise ValueError("B1 needs n > 2")
-    profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
-    g = profile.sw[n] if n < len(profile.sw) else 0
-    lhs = profile.pal_at(n)
-    rhs = 2 * g + profile.pal_at(n - 2)
-    return _exact_report(
-        "B1", profile, n, lhs, rhs,
-        "pal(n) <= 2*switch(n) + pal(n-2)",
-        f"2*{g}+{profile.pal_at(n - 2)}={rhs} >= {lhs}",
-        covered,
-    )
-
-
-# ---------------------------------------------------------------- B2
+    return _check(("B1",), w, n, force, profile)[0]
 
 
 def check_upsilon_bound(
@@ -383,203 +735,45 @@ def check_upsilon_bound(
     """B2: at most q(q-1) length-n switch cores share one lpps value r."""
     profile = profile or word_profile(w)
     covered = _require_rich(profile, force)
+    b = _BOUNDS["B2"]
     lhs = _lpps_fibers(profile, n).get(r.chars, 0)
-    return _upsilon_report(profile, n, r, lhs, covered)
-
-
-def _lpps_fibers(profile: WordProfile, n: int) -> dict[str, int]:
-    """Number of length-n switch cores per lpps value (as chars)."""
-    fibers: dict[str, int] = {}
-    for u in profile.cores_at(n):
-        r = lpps(Word(u, profile.q)).chars
-        fibers[r] = fibers.get(r, 0) + 1
-    return fibers
-
-
-def _upsilon_report(
-    profile: WordProfile, n: int, r: Word, lhs: int, covered: bool
-) -> BoundReport:
-    q = profile.q
-    rhs = q * (q - 1)
-    return _exact_report(
-        "B2", profile, n, lhs, rhs,
-        "|cores of length n with lpps r| <= q(q-1)",
-        f"r={r.text!r}: {lhs} <= {rhs}",
-        covered,
-    )
-
-
-def _upsilon_reports(
-    profile: WordProfile, n: int, force: bool, fibers: dict[str, int]
-) -> list[BoundReport]:
-    """B2 at order n for every lpps value in fibers, in sorted order."""
-    return [
-        _upsilon_report(
-            profile, n, Word(r, profile.q), lhs, _require_rich(profile, force)
-        )
-        for r, lhs in sorted(fibers.items())
-    ]
-
-
-# ---------------------------------------------------------------- B3
+    rhs = b.rhs(profile, n)
+    return _report(b, profile, n, r.chars, lhs, rhs, covered, lhs <= rhs, None)
 
 
 def check_gamma_palindrome_bound(
     w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
 ) -> BoundReport:
     """B3: pal(n) <= (q+1)*n*maxswitch(n) on rich words, n > 0."""
-    if n <= 0:
-        raise ValueError("B3 needs n > 0")
-    profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
-    gam = profile.gamma_max_at(n)
-    lhs = profile.pal_at(n)
-    rhs = (profile.q + 1) * n * gam
-    return _exact_report(
-        "B3", profile, n, lhs, rhs,
-        "pal(n) <= (q+1)*n*maxswitch(n)",
-        f"({profile.q}+1)*{n}*{gam}={rhs} >= {lhs}",
-        covered,
-    )
-
-
-# ---------------------------------------------------------------- B4
+    return _check(("B3",), w, n, force, profile)[0]
 
 
 def check_gamma_recursion(
     w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
 ) -> BoundReport:
     """B4: maxswitch(n) <= q^5*ceil(n/2)^2*maxswitch(ceil(n/2)), n > 0."""
-    if n <= 0:
-        raise ValueError("B4 needs n > 0")
-    profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
-    half = (n + 1) // 2
-    lhs = profile.gamma_max_at(n)
-    rhs = profile.q**5 * half * half * profile.gamma_max_at(half)
-    return _exact_report(
-        "B4", profile, n, lhs, rhs,
-        "maxswitch(n) <= q^5*ceil(n/2)^2*maxswitch(ceil(n/2))",
-        f"q^5*{half}^2*{profile.gamma_max_at(half)}={rhs} >= {lhs}",
-        covered,
-    )
-
-
-# ---------------------------------------------------------------- B5/B6/B7
-
-
-def _pow_rhs(coeff: int, base: int, m: int) -> Optional[int]:
-    """coeff * base**log2(m): exact int when log2(m) is integral and small."""
-    e = _int_log2_or_none(m)
-    if e is not None:
-        bits = math.log2(coeff) + e * math.log2(base)
-        if bits <= EXACT_LOG2_CAP:
-            return coeff * base**e
-    return None
+    return _check(("B4",), w, n, force, profile)[0]
 
 
 def check_gamma_closed_form(
     w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
 ) -> BoundReport:
     """B5: maxswitch(n) <= (4*q^10*n)**log2(n), n > 0."""
-    if n <= 0:
-        raise ValueError("B5 needs n > 0")
-    profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
-    q = profile.q
-    base = 4 * q**10 * n
-    lhs = profile.gamma_max_at(n)
-    exact = _pow_rhs(1, base, n)
-    rhs_log2 = math.log2(n) * (2 + 10 * math.log2(q) + math.log2(n))
-
-    def hp():
-        ln = mpmath.log(n, 2)
-        return ln * (2 + 10 * mpmath.log(q, 2) + ln)
-
-    return _log_report(
-        "B5", profile, n, lhs, exact, rhs_log2, hp,
-        "maxswitch(n) <= (4*q^10*n)^log2(n)",
-        f"log2(rhs)={rhs_log2:.6g}",
-        covered,
-    )
+    return _check(("B5",), w, n, force, profile)[0]
 
 
 def check_palindromic_complexity_bound(
     w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
 ) -> BoundReport:
     """B6: pal(n) <= (q+1)*n*(4*q^10*n)**log2(n), n > 0."""
-    if n <= 0:
-        raise ValueError("B6 needs n > 0")
-    profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
-    q = profile.q
-    base = 4 * q**10 * n
-    coeff = (q + 1) * n
-    lhs = profile.pal_at(n)
-    exact = _pow_rhs(coeff, base, n)
-    rhs_log2 = math.log2(coeff) + math.log2(n) * (
-        2 + 10 * math.log2(q) + math.log2(n)
-    )
-
-    def hp():
-        ln = mpmath.log(n, 2)
-        return mpmath.log(coeff, 2) + ln * (2 + 10 * mpmath.log(q, 2) + ln)
-
-    return _log_report(
-        "B6", profile, n, lhs, exact, rhs_log2, hp,
-        "pal(n) <= (q+1)*n*(4*q^10*n)^log2(n)",
-        f"log2(rhs)={rhs_log2:.6g}",
-        covered,
-    )
+    return _check(("B6",), w, n, force, profile)[0]
 
 
 def check_factor_complexity_bound(
     w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
 ) -> BoundReport:
     """B7: fac(n) <= (q+1)^2*n^4*(4*q^10*n)**(2*log2(n)), n > 0."""
-    if n <= 0:
-        raise ValueError("B7 needs n > 0")
-    profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
-    q = profile.q
-    base = 4 * q**10 * n
-    coeff = (q + 1) ** 2 * n**4
-    lhs = profile.fac_at(n)
-    e = _int_log2_or_none(n)
-    exact = None
-    if e is not None:
-        bits = math.log2(coeff) + 2 * e * math.log2(base)
-        if bits <= EXACT_LOG2_CAP:
-            exact = coeff * base ** (2 * e)
-    rhs_log2 = math.log2(coeff) + 2 * math.log2(n) * (
-        2 + 10 * math.log2(q) + math.log2(n)
-    )
-
-    def hp():
-        ln = mpmath.log(n, 2)
-        return mpmath.log(coeff, 2) + 2 * ln * (2 + 10 * mpmath.log(q, 2) + ln)
-
-    return _log_report(
-        "B7", profile, n, lhs, exact, rhs_log2, hp,
-        "fac(n) <= (q+1)^2*n^4*(4*q^10*n)^(2*log2(n))",
-        f"log2(rhs)={rhs_log2:.6g}",
-        covered,
-    )
-
-
-# ---------------------------------------------------------------- B8/B9
-
-
-def _require_closed(profile: WordProfile, n: int) -> None:
-    if n <= 0:
-        raise ValueError("needs n > 0")
-    if len(profile.word) < n + 1:
-        raise ValueError(f"needs |w| >= {n + 1}")
-    if not profile.closed_at(n + 1):
-        raise ClosureRequiredError(
-            f"factors of length {n + 1} of {profile.word.text!r} "
-            "are not closed under reversal"
-        )
+    return _check(("B7",), w, n, force, profile)[0]
 
 
 def check_reversal_inequality(
@@ -589,40 +783,14 @@ def check_reversal_inequality(
 
     Equality verdict is attached when the word is rich (it then always holds).
     """
-    profile = profile or word_profile(w)
-    _require_closed(profile, n)
-    lhs = profile.pal_at(n) + profile.pal_at(n + 1)
-    rhs = profile.fac_at(n + 1) - profile.fac_at(n) + 2
-    equality = (lhs == rhs) if profile.rich else None
-    return _exact_report(
-        "B8", profile, n, lhs, rhs,
-        "pal(n)+pal(n+1) <= fac(n+1)-fac(n)+2 (equality on rich words)",
-        f"{profile.pal_at(n)}+{profile.pal_at(n + 1)} "
-        f"{'=' if lhs == rhs else '<='} "
-        f"{profile.fac_at(n + 1)}-{profile.fac_at(n)}+2",
-        equality=equality,
-    )
+    return _check(("B8",), w, n, False, profile)[0]
 
 
 def check_factor_vs_palindrome_bound(
     w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
 ) -> BoundReport:
     """B9: fac(n) <= 2(n-1)*maxpal(n) - 2(n-1) + q under B8's preconditions plus richness."""
-    profile = profile or word_profile(w)
-    _require_closed(profile, n)
-    covered = _require_rich(profile, force)
-    fhat = profile.pal_max_at(n)
-    lhs = profile.fac_at(n)
-    rhs = 2 * (n - 1) * fhat - 2 * (n - 1) + profile.q
-    return _exact_report(
-        "B9", profile, n, lhs, rhs,
-        "fac(n) <= 2(n-1)*maxpal(n) - 2(n-1) + q",
-        f"{lhs} <= 2*{n - 1}*{fhat} - 2*{n - 1} + {profile.q} = {rhs}",
-        covered,
-    )
-
-
-# ---------------------------------------------------------------- B10/B11
+    return _check(("B9",), w, n, force, profile)[0]
 
 
 def check_final_bounds(
@@ -633,101 +801,13 @@ def check_final_bounds(
     B10: fac(n) <= 2(2n-1)*(q+1)*2n*(8*q^10*n)^log2(2n) - 2(2n-1) + q
     B11: fac(n) <= (q+1)*8*n^2*(8*q^10*n)^log2(2n) + q
     """
-    if n <= 0:
-        raise ValueError("B10/B11 need n > 0")
-    profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
-    q = profile.q
-    lhs = profile.fac_at(n)
-    base = 8 * q**10 * n
-    e2 = _int_log2_or_none(2 * n)
-
-    # B10: T - 2(2n-1) + q with T = 2(2n-1)*(q+1)*2n*base^log2(2n)
-    coeff10 = 2 * (2 * n - 1) * (q + 1) * 2 * n
-    addend10 = q - 2 * (2 * n - 1)
-    exact10 = None
-    if e2 is not None:
-        bits = math.log2(coeff10) + e2 * math.log2(base)
-        if bits <= EXACT_LOG2_CAP:
-            exact10 = coeff10 * base**e2 + addend10
-    t_log2 = math.log2(coeff10) + math.log2(2 * n) * math.log2(base)
-    # fold in the small additive terms; beyond float range they vanish anyway
-    rhs10_log2 = (
-        t_log2 + math.log1p(addend10 * 2.0**-t_log2) / math.log(2)
-        if t_log2 <= 1020
-        else t_log2
-    )
-
-    def hp10():
-        t = mpmath.log(coeff10, 2) + mpmath.log(2 * n, 2) * mpmath.log(base, 2)
-        return t + mpmath.log(1 + mpmath.mpf(addend10) / mpmath.power(2, t), 2)
-
-    rep10 = _log_report(
-        "B10", profile, n, lhs, exact10, rhs10_log2, hp10,
-        "fac(n) <= 2(2n-1)*(q+1)*2n*(8*q^10*n)^log2(2n) - 2(2n-1) + q",
-        f"log2(rhs)~{rhs10_log2:.6g}",
-        covered,
-    )
-
-    coeff11 = (q + 1) * 8 * n**2
-    exact11 = None
-    if e2 is not None:
-        bits = math.log2(coeff11) + e2 * math.log2(base)
-        if bits <= EXACT_LOG2_CAP:
-            exact11 = coeff11 * base**e2 + q
-    t11_log2 = math.log2(coeff11) + math.log2(2 * n) * math.log2(base)
-    rhs11_log2 = (
-        t11_log2 + math.log1p(q * 2.0**-t11_log2) / math.log(2)
-        if t11_log2 <= 1020
-        else t11_log2
-    )
-
-    def hp11():
-        t = mpmath.log(coeff11, 2) + mpmath.log(2 * n, 2) * mpmath.log(base, 2)
-        return t + mpmath.log(1 + mpmath.mpf(q) / mpmath.power(2, t), 2)
-
-    rep11 = _log_report(
-        "B11", profile, n, lhs, exact11, rhs11_log2, hp11,
-        "fac(n) <= (q+1)*8*n^2*(8*q^10*n)^log2(2n) + q",
-        f"log2(rhs)~{rhs11_log2:.6g}",
-        covered,
-    )
-    return rep10, rep11
-
-
-# ---------------------------------------------------------------- B12
+    r10, r11 = _check(("B10", "B11"), w, n, force, profile)
+    return r10, r11
 
 
 def check_ceil_product_lemma(n: int) -> BoundReport:
     """B12: prod_{j=1..floor(log2 n)} ceil(n/2^j) <= (2*sqrt(n))^log2(n)."""
-    if n < 1:
-        raise ValueError("B12 needs n >= 1")
-    k = n.bit_length() - 1  # floor(log2 n)
-    lhs = 1
-    for j in range(1, k + 1):
-        lhs *= (n + (1 << j) - 1) >> j  # ceil(n / 2^j)
-    log2n = math.log2(n)
-    exponent_is_even_int = _int_log2_or_none(n) is not None and (
-        (n.bit_length() - 1) % 2 == 0
-    )
-    exact = None
-    if exponent_is_even_int:
-        e = n.bit_length() - 1
-        root = 1 << (e // 2)  # sqrt(n) for n = 4^t
-        if e * math.log2(2 * root) <= EXACT_LOG2_CAP:
-            exact = (2 * root) ** e
-    rhs_log2 = log2n * (1 + log2n / 2)
-
-    def hp():
-        ln = mpmath.log(n, 2)
-        return ln * (1 + ln / 2)
-
-    report = _log_report(
-        "B12", None, n, lhs, exact, rhs_log2, hp,
-        "prod_{j<=floor(log2 n)} ceil(n/2^j) <= (2*sqrt(n))^log2(n)",
-        f"k={k}, lhs={lhs if lhs < 10**24 else 'big'}",
-    )
-    return report
+    return _check(("B12",), None, n, False, None)[0]
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -745,65 +825,13 @@ def diagnostic_trim_gamma_partition(
         raise ValueError("needs n > 2")
     profile = word_profile(w)
     _require_rich(profile, force)
+    q = profile.q
     long_side: set[Word] = set()
     short_side: set[Word] = set()
     for chars in profile.cores_at(n - 2):
-        v = Word(chars, profile.q)
-        if 2 * len(lpps(v)) >= len(v):
-            long_side.add(v)
-        else:
-            short_side.add(v)
+        side = long_side if 2 * len(_lpps_chars(chars, q)) >= len(chars) else short_side
+        side.add(Word(chars, q))
     return frozenset(long_side), frozenset(short_side)
-
-
-# ---------------------------------------------------------------- sweep
-
-
-def _admissible_reports(
-    profile: WordProfile, bound_ids: Sequence[str], force: bool
-) -> Iterator[BoundReport]:
-    """Every requested bound at every admissible n for this word."""
-    w = profile.word
-    L = len(w)
-    wanted = set(bound_ids)
-    if "B1" in wanted:
-        for n in range(3, L + 1):
-            yield check_switch_palindrome_bound(w, n, force, profile)
-    if "B2" in wanted:
-        for n in range(1, max(L - 1, 1)):
-            yield from _upsilon_reports(
-                profile, n, force, _lpps_fibers(profile, n)
-            )
-    if "B3" in wanted:
-        for n in range(1, L + 1):
-            yield check_gamma_palindrome_bound(w, n, force, profile)
-    if "B4" in wanted:
-        for n in range(1, L + 1):
-            yield check_gamma_recursion(w, n, force, profile)
-    if "B5" in wanted:
-        for n in range(1, L + 1):
-            yield check_gamma_closed_form(w, n, force, profile)
-    if "B6" in wanted:
-        for n in range(1, L + 1):
-            yield check_palindromic_complexity_bound(w, n, force, profile)
-    if "B7" in wanted:
-        for n in range(1, L + 1):
-            yield check_factor_complexity_bound(w, n, force, profile)
-    if "B8" in wanted:
-        for n in range(1, L):
-            if profile.closed_at(n + 1):
-                yield check_reversal_inequality(w, n, profile)
-    if "B9" in wanted:
-        for n in range(1, L):
-            if profile.closed_at(n + 1):
-                yield check_factor_vs_palindrome_bound(w, n, force, profile)
-    if "B10" in wanted or "B11" in wanted:
-        for n in range(1, L + 1):
-            r10, r11 = check_final_bounds(w, n, force, profile)
-            if "B10" in wanted:
-                yield r10
-            if "B11" in wanted:
-                yield r11
 
 
 def evaluate_word(
@@ -818,65 +846,8 @@ def evaluate_word(
     include_closure additionally runs B8/B9 on the palindromic closure,
     whose factor sets are reversal-closed at every order.
     """
-    profile = word_profile(w)
-    word_bounds = [b for b in bound_ids if b != "B12"]
-    if ns is None:
-        reports = list(_admissible_reports(profile, word_bounds, force))
-    else:
-        reports = []
-        for n in ns:
-            for b in word_bounds:
-                reports.extend(
-                    _reports_at(profile, b, n, force)
-                )
-    if "B12" in bound_ids:
-        for n in ns if ns is not None else range(1, max(len(w), 1) + 1):
-            reports.append(check_ceil_product_lemma(n))
-    if include_closure:
-        closure = palindromic_closure(w)
-        if closure != w:
-            cp = word_profile(closure)
-            for n in ns if ns is not None else range(1, len(closure)):
-                if n >= len(closure):
-                    continue
-                if "B8" in bound_ids:
-                    reports.append(check_reversal_inequality(closure, n, cp))
-                if "B9" in bound_ids:
-                    reports.append(
-                        check_factor_vs_palindrome_bound(closure, n, force, cp)
-                    )
-    return reports
-
-
-def _reports_at(
-    profile: WordProfile, bound_id: str, n: int, force: bool
-) -> list[BoundReport]:
-    w = profile.word
-    if bound_id == "B1":
-        return [check_switch_palindrome_bound(w, n, force, profile)]
-    if bound_id == "B2":
-        # with no cores at all, still report the empty lpps value
-        return _upsilon_reports(
-            profile, n, force, _lpps_fibers(profile, n) or {"": 0}
-        )
-    if bound_id == "B3":
-        return [check_gamma_palindrome_bound(w, n, force, profile)]
-    if bound_id == "B4":
-        return [check_gamma_recursion(w, n, force, profile)]
-    if bound_id == "B5":
-        return [check_gamma_closed_form(w, n, force, profile)]
-    if bound_id == "B6":
-        return [check_palindromic_complexity_bound(w, n, force, profile)]
-    if bound_id == "B7":
-        return [check_factor_complexity_bound(w, n, force, profile)]
-    if bound_id == "B8":
-        return [check_reversal_inequality(w, n, profile)]
-    if bound_id == "B9":
-        return [check_factor_vs_palindrome_bound(w, n, force, profile)]
-    if bound_id in ("B10", "B11"):
-        r10, r11 = check_final_bounds(w, n, force, profile)
-        return [r10] if bound_id == "B10" else [r11]
-    raise ValueError(f"unknown bound {bound_id!r}")
+    rows = _word_rows(w, bound_ids, ns, force, include_closure, None, None)
+    return list(starmap(_report, rows))
 
 
 # ---------------------------------------------------------------- sweep
@@ -924,21 +895,32 @@ def _new_agg() -> dict:
     }
 
 
-def _fold(agg: dict, report: BoundReport) -> None:
-    agg["reports"] += 1
-    if report.holds:
-        agg["passes"] += 1
-    else:
-        agg["violations"] += 1
-    if report.equality:
-        agg["equalities"] += 1
-    if not report.covered:
-        agg["uncovered"] += 1
-    slack = report.slack_log2()
-    if slack is not None:
-        lo, hi = agg["min_slack_log2"], agg["max_slack_log2"]
-        agg["min_slack_log2"] = slack if lo is None else min(lo, slack)
-        agg["max_slack_log2"] = slack if hi is None else max(hi, slack)
+def _fold_rows(agg: dict, rows: Iterable[tuple], violating: list, cap: int) -> None:
+    """Fold rows into the per-bound aggregates; only a violation becomes a report."""
+    for row in rows:
+        b, _, _, _, lhs, rhs, covered, holds, equality = row
+        a = agg[b.bound_id]
+        a["reports"] += 1
+        if holds:
+            a["passes"] += 1
+        else:
+            a["violations"] += 1
+            if len(violating) < cap:
+                violating.append(_report(*row))
+        if equality:
+            a["equalities"] += 1
+        if not covered:
+            a["uncovered"] += 1
+        if rhs.__class__ is int:
+            slack = _slack(lhs, rhs, None)
+        else:
+            slack = _slack(lhs, rhs.exact, rhs.log2)
+        if slack is not None:
+            lo, hi = a["min_slack_log2"], a["max_slack_log2"]
+            if lo is None or slack < lo:
+                a["min_slack_log2"] = slack
+            if hi is None or slack > hi:
+                a["max_slack_log2"] = slack
 
 
 def _sweep_length(
@@ -948,18 +930,22 @@ def _sweep_length(
     include_closure: bool,
     cap: int,
 ) -> tuple[int, dict, list]:
-    """Aggregate one corpus slice (all rich words of one length)."""
+    """Aggregate one corpus slice (all rich words of one length).
+
+    The rows of evaluate_word fold straight into the aggregates.  The rhs
+    cache and the log-domain memo live for this slice only.
+    """
     from .enumeration import enumerate_rich
 
     agg = {b: _new_agg() for b in bound_ids}
     violating: list[BoundReport] = []
     words = 0
+    cache: dict = {}
+    memo: dict = {}
     for w in enumerate_rich(q, length):
         words += 1
-        for r in evaluate_word(w, bound_ids, include_closure=include_closure):
-            _fold(agg[r.bound_id], r)
-            if not r.holds and len(violating) < cap:
-                violating.append(r)
+        rows = _word_rows(w, bound_ids, None, False, include_closure, cache, memo)
+        _fold_rows(agg, rows, violating, cap)
     return words, agg, violating
 
 
@@ -1022,11 +1008,9 @@ def sweep_rich(
             if len(violating) < violation_cap:
                 violating.append(r)
     if "B12" in ids:
-        for n in range(1, max(max_len, 1) + 1):
-            r = check_ceil_product_lemma(n)
-            _fold(per_bound["B12"], r)
-            if not r.holds and len(violating) < violation_cap:
-                violating.append(r)
+        orders = range(1, max(max_len, 1) + 1)
+        rows = _rows(None, [("B12",)], orders, False, None, None)
+        _fold_rows(per_bound, rows, violating, violation_cap)
     reports = sum(per_bound[b]["reports"] for b in ids)
     violations = sum(per_bound[b]["violations"] for b in ids)
     return SweepSummary(

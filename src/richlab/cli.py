@@ -21,7 +21,13 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BOUND_IDS, evaluate_word, sweep_rich, word_profile
+from .bounds import (
+    BOUND_IDS,
+    evaluate_word,
+    inadmissible_bounds,
+    sweep_rich,
+    word_profile,
+)
 from .crosscheck import exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
@@ -176,6 +182,12 @@ def _cmd_verify(args) -> int:
     w = _word_from_args(args)
     ids = _parse_bound_ids(args.bounds)
     ns = None if args.n is None else [args.n]
+    if args.n is not None and args.bounds is None:
+        # with no bounds named, check those that apply at this order
+        skipped = inadmissible_bounds(w, args.n, ids)
+        for bound_id, reason in skipped.items():
+            print(f"skipped {bound_id}: {reason}", file=sys.stderr)
+        ids = tuple(b for b in ids if b not in skipped)
     reports = evaluate_word(
         w, ids, ns=ns, force=args.force, include_closure=args.with_closure
     )
@@ -358,7 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="check complexity bounds on one word")
     _add_word_arg(p)
     p.add_argument("--bounds", help="comma-separated bound ids (default: all)")
-    p.add_argument("--n", type=int, help="check a single order n")
+    p.add_argument(
+        "--n",
+        type=int,
+        help="check a single order n; without --bounds, bounds that do not "
+        "apply at n are skipped (one stderr line each)",
+    )
     p.add_argument(
         "--all-n",
         action="store_true",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .paltree import lps, lpps
+from .paltree import _tree_of, lpps
 from .records import SwitchPair, SwitchRecord
 from .words import MAX_ALPHABET, Word, is_palindrome, reverse
 
@@ -230,7 +230,8 @@ def palindromic_closure(w: Word) -> Word:
     """Shortest palindrome with w as a prefix: w followed by reverse(p), w = p·lps(w)."""
     if len(w) == 0:
         return w
-    p_len = len(w) - len(lps(w))
+    tree = _tree_of(w.chars)
+    p_len = len(w) - tree.node_length(tree.last_node())  # the last node is lps(w)
     return Word(w.chars + w.chars[:p_len][::-1], w.alphabet_size)
 
 

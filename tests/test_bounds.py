@@ -562,3 +562,99 @@ def test_sweep_bound_subset_and_closure_toggle():
     assert with_closure.reports > only_b8.reports
     with pytest.raises(ValueError):
         sweep_rich(2, 5, bound_ids=("B8", "nope"))
+
+
+# --- sweep fold against the reports it stands for ---
+
+
+def _reference_fold(agg, report):
+    """The sweep's aggregate step, applied to one materialised report."""
+    agg["reports"] += 1
+    agg["passes" if report.holds else "violations"] += 1
+    if report.equality:
+        agg["equalities"] += 1
+    if not report.covered:
+        agg["uncovered"] += 1
+    slack = report.slack_log2()
+    if slack is not None:
+        lo, hi = agg["min_slack_log2"], agg["max_slack_log2"]
+        agg["min_slack_log2"] = slack if lo is None else min(lo, slack)
+        agg["max_slack_log2"] = slack if hi is None else max(hi, slack)
+
+
+def _reference_sweep(q, max_len, ids, include_closure):
+    """(words, per_bound, every violating report) from evaluate_word's reports."""
+    keys = ("reports", "passes", "violations", "equalities", "uncovered",
+            "min_slack_log2", "max_slack_log2")
+    per_bound = {b: dict.fromkeys(keys, 0) for b in ids}
+    for agg in per_bound.values():
+        agg["min_slack_log2"] = agg["max_slack_log2"] = None
+    word_ids = [b for b in ids if b != "B12"]
+    words, violating = 0, []
+    for length in range(max_len + 1):
+        for w in enumerate_rich(q, length):
+            words += 1
+            for r in evaluate_word(w, word_ids, include_closure=include_closure):
+                _reference_fold(per_bound[r.bound_id], r)
+                if not r.holds:
+                    violating.append(r)
+    if "B12" in ids:
+        for n in range(1, max(max_len, 1) + 1):
+            r = check_ceil_product_lemma(n)
+            _reference_fold(per_bound["B12"], r)
+            if not r.holds:
+                violating.append(r)
+    return words, per_bound, violating
+
+
+def _float_bits(per_bound):
+    """per_bound with every float spelled out exactly."""
+    return {
+        b: {k: v.hex() if isinstance(v, float) else v for k, v in agg.items()}
+        for b, agg in per_bound.items()
+    }
+
+
+def _assert_sweep_matches(summary, reference, cap):
+    words, per_bound, violating = reference
+    assert summary.words == words
+    assert _float_bits(summary.per_bound) == _float_bits(per_bound)
+    assert summary.reports == sum(agg["reports"] for agg in per_bound.values())
+    assert summary.violations == len(violating)
+    assert summary.violating == tuple(violating[:cap])
+
+
+@pytest.mark.parametrize("q,max_len", [(2, 10), (3, 7), (4, 5)])
+@pytest.mark.parametrize("include_closure", [True, False])
+def test_sweep_fold_matches_folded_reports(q, max_len, include_closure):
+    for ids in (BOUND_IDS, ("B2",), ("B8", "B9"), ("B10", "B11")):
+        reference = _reference_sweep(q, max_len, ids, include_closure)
+        for jobs in (1, 2) if ids == BOUND_IDS and include_closure else (1,):
+            summary = sweep_rich(
+                q, max_len, ids, include_closure=include_closure, jobs=jobs
+            )
+            _assert_sweep_matches(summary, reference, cap=50)
+
+
+def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
+    from richlab import bounds
+
+    # B8 holds with equality on every rich word, so one less on the right
+    # fails it almost everywhere, closures included (a slack needs rhs >= 1);
+    # a log-domain B10 of 2**(n/2) fails wherever fac(n) > 2**(n/2).
+    b8, b10 = bounds._BOUNDS["B8"], bounds._BOUNDS["B10"]
+    monkeypatch.setitem(bounds._BOUNDS, "B8", dataclasses.replace(
+        b8, rhs=lambda p, n: max(1, b8.rhs(p, n) - 1),
+    ))
+    monkeypatch.setitem(bounds._BOUNDS, "B10", dataclasses.replace(
+        b10, rhs=lambda p, n: bounds._Rhs(None, n / 2, lambda: mpmath.mpf(n) / 2),
+    ))
+    ids = ("B8", "B9", "B10", "B11")
+    reference = _reference_sweep(3, 6, ids, True)
+    assert {r.bound_id for r in reference[2]} == {"B8", "B10"}
+    assert len(reference[2]) > 200
+    for cap, jobs in ((7, 1), (50, 1), (10**6, 1), (30, 2)):
+        summary = sweep_rich(
+            3, 6, ids, include_closure=True, jobs=jobs, violation_cap=cap
+        )
+        _assert_sweep_matches(summary, reference, cap)

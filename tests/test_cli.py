@@ -148,6 +148,46 @@ def test_verify_unknown_bound_id(capsys):
     assert "unknown bound ids" in err and "B12" in err
 
 
+def test_verify_order_skips_bounds_that_do_not_apply(capsys):
+    code, out, err = run(capsys, ["verify", "abaab", "--n", "2"])
+    assert code == 0
+    assert err == "skipped B1: B1 needs n > 2\n"
+    ids = {r["bound_id"] for r in json.loads(out)}
+    assert ids == set(BOUND_IDS) - {"B1"}
+
+
+def test_verify_order_skips_b8_b9_without_closure_or_length(capsys):
+    # F(W3, 5) misses the reversal of 10100
+    code, out, err = run(capsys, ["verify", W3, "--n", "4"])
+    assert code == 0
+    reason = f"factors of length 5 of {W3!r} are not closed under reversal"
+    assert err.splitlines() == [f"skipped B8: {reason}", f"skipped B9: {reason}"]
+    assert {r["bound_id"] for r in json.loads(out)} == set(BOUND_IDS) - {"B8", "B9"}
+    code, out, err = run(capsys, ["verify", "01", "--n", "2"])
+    assert code == 0
+    assert err.splitlines() == [
+        "skipped B1: B1 needs n > 2",
+        "skipped B8: needs |w| >= 3",
+        "skipped B9: needs |w| >= 3",
+    ]
+    assert "B8" not in {r["bound_id"] for r in json.loads(out)}
+
+
+def test_verify_order_reports_every_bound_where_all_apply(capsys):
+    code, out, err = run(capsys, ["verify", W3, "--n", "3"])
+    assert code == 0 and err == ""
+    assert {r["bound_id"] for r in json.loads(out)} == set(BOUND_IDS)
+
+
+def test_verify_named_bound_at_inadmissible_order_is_usage_error(capsys):
+    code, out, err = run(capsys, ["verify", "abaab", "--bounds", "B1", "--n", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: B1 needs n > 2\n"
+    code, _, err = run(capsys, ["verify", W3, "--bounds", "B2,B8", "--n", "4"])
+    assert code == 2
+    assert "not closed under reversal" in err
+
+
 def test_verify_with_closure_adds_reports(capsys):
     _, base, _ = run(capsys, ["verify", W3, "--bounds", "B8"])
     _, more, _ = run(capsys, ["verify", W3, "--bounds", "B8", "--with-closure"])
@@ -339,3 +379,23 @@ def test_floats_are_clamped_to_twelve_significant_digits():
     assert _portable(0.1234567890123456) == 0.123456789012
     assert _portable({"x": [1.0 / 3.0]}) == {"x": [0.333333333333]}
     assert _portable(5) == 5 and _portable("s") == "s"
+
+
+# ---------------------------------------------------------------- goldens
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["sweep", "--q", "2", "--max-len", "8"], "sweep_q2_len8.json"),
+        (["sweep", "--q", "3", "--max-len", "5", "--csv"], "sweep_q3_len5.csv"),
+        (["verify", W3, "--with-closure"], "verify_w3_closure.json"),
+    ],
+)
+def test_stdout_matches_recorded_golden(capsys, argv, name):
+    # recorded from the report-building sweep that the profile fold replaced
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
