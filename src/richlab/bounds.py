@@ -33,8 +33,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
 
+from .enumeration import DEFAULT_SHARD_PREFIX, _sharded, _walk
 from .paltree import Eertree, _lpps_chars
-from .structures import _switch_starts, palindromic_closure
+from .structures import _switch_starts
 from .words import Word
 
 BOUND_IDS = (
@@ -151,6 +152,7 @@ class WordProfile:
     pal_max: tuple[int, ...]    # pal_max[n] = max pal[j] for j<=n
     closed: tuple[bool, ...]    # closed[n] = F(w,n) stable under reversal
     cores: tuple[frozenset[str], ...]  # cores[n] = length-n switch cores (chars)
+    lps_length = None  # |lps(word)|, set by word_profile; not a field
 
     def fac_at(self, n: int) -> int:
         return self.fac[n] if 0 <= n < len(self.fac) else (1 if n == 0 else 0)
@@ -217,7 +219,7 @@ def word_profile(w: Word) -> WordProfile:
     fac: each suffix-automaton state adds 1 to every length it stands for.
     closed: F(w,n) is reversal-closed iff every length-n factor of
     reverse(w) occurs in w, read off the matching statistics of reverse(w)
-    against the same automaton.  pal and rich: Eertree node lengths.
+    against the same automaton.  pal, rich, lps_length: one Eertree run.
     sw and cores: one switch occurrence at most per palindrome centre.
     Hashing the distinct switch strings also costs the total length of the
     switch occurrences, O(|w|^2) characters at worst, all of it in C.
@@ -270,7 +272,7 @@ def word_profile(w: Word) -> WordProfile:
     for n in range(1, L + 1):
         gmax[n] = max(gmax[n - 1], sw[n])
         pmax[n] = max(pmax[n - 1], pal[n])
-    return WordProfile(
+    profile = WordProfile(
         word=w,
         q=w.alphabet_size,
         rich=tree.distinct_nonempty == L,
@@ -282,6 +284,8 @@ def word_profile(w: Word) -> WordProfile:
         closed=tuple(closed),
         cores=tuple(cores),
     )
+    _setattr(profile, "lps_length", tree.node_length(tree.last_node()))
+    return profile
 
 
 def _require_rich(profile: WordProfile, force: bool) -> bool:
@@ -676,7 +680,9 @@ def _word_rows(
         parts.append(_rows(None, [("B12",)], b12_ns, force, cache, memo))
     group = [b for b in _CLOSURE_GROUP if b in bound_ids]
     if include_closure and group:
-        closure = palindromic_closure(w)
+        # the palindromic closure: w, then the part before lps(w) reversed
+        s = w.chars
+        closure = Word(s + s[: len(s) - profile.lps_length][::-1], profile.q)
         if closure != w:
             if ns is not None:
                 ns = [n for n in ns if n < len(closure)]
@@ -923,30 +929,24 @@ def _fold_rows(agg: dict, rows: Iterable[tuple], violating: list, cap: int) -> N
                 a["max_slack_log2"] = slack
 
 
-def _sweep_length(
-    q: int,
-    length: int,
-    bound_ids: tuple[str, ...],
-    include_closure: bool,
-    cap: int,
-) -> tuple[int, dict, list]:
-    """Aggregate one corpus slice (all rich words of one length).
+def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
+    """sweep_rich's worker for _sharded: fold every rich extension of a prefix.
 
-    The rows of evaluate_word fold straight into the aggregates.  The rhs
-    cache and the log-domain memo live for this slice only.
+    Returns the word count, the per-bound aggregates and the violating
+    reports by word length, each length's list capped.  The rhs cache and
+    the log-domain memo live for this call only.
     """
-    from .enumeration import enumerate_rich
-
+    q, prefix, max_len, canonical, bound_ids, include_closure, cap = args
     agg = {b: _new_agg() for b in bound_ids}
-    violating: list[BoundReport] = []
+    by_length: dict[int, list] = {n: [] for n in range(len(prefix), max_len + 1)}
     words = 0
-    cache: dict = {}
-    memo: dict = {}
-    for w in enumerate_rich(q, length):
+    cache, memo = {}, {}
+    for symbols in _walk(q, prefix, max_len, canonical):
         words += 1
+        w = Word.from_symbols(symbols, q)
         rows = _word_rows(w, bound_ids, None, False, include_closure, cache, memo)
-        _fold_rows(agg, rows, violating, cap)
-    return words, agg, violating
+        _fold_rows(agg, rows, by_length[len(symbols)], cap)
+    return words, agg, by_length
 
 
 def sweep_rich(
@@ -959,7 +959,8 @@ def sweep_rich(
 ) -> SweepSummary:
     """Check the requested bounds on every rich word of length <= max_len.
 
-    Work shards by word length; merged totals do not depend on jobs.
+    Work shards by rich prefix; merged totals do not depend on jobs, and the
+    violating reports come by word length, then in lexicographic order.
     B12 is word-independent, so it runs once per n instead of once per word.
     """
     import time
@@ -970,31 +971,13 @@ def sweep_rich(
     if unknown:
         raise ValueError(f"unknown bound ids: {sorted(unknown)}")
     word_bounds = tuple(b for b in ids if b != "B12")
-    lengths = range(max_len + 1)
-    if jobs <= 1:
-        slices = [
-            _sweep_length(q, n, word_bounds, include_closure, violation_cap)
-            for n in lengths
-        ]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from itertools import repeat
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            slices = list(
-                pool.map(
-                    _sweep_length,
-                    repeat(q),
-                    lengths,
-                    repeat(word_bounds),
-                    repeat(include_closure),
-                    repeat(violation_cap),
-                )
-            )
+    shards = _sharded(
+        _sweep_below, q, max_len, False, jobs, DEFAULT_SHARD_PREFIX,
+        word_bounds, include_closure, violation_cap,
+    )
     per_bound = {b: _new_agg() for b in ids}
     words = 0
-    violating: list[BoundReport] = []
-    for w_count, agg, viol in slices:
+    for w_count, agg, _ in shards:
         words += w_count
         for b in word_bounds:
             for key in ("reports", "passes", "violations", "equalities", "uncovered"):
@@ -1004,9 +987,10 @@ def sweep_rich(
                 if other is not None:
                     mine = per_bound[b][key]
                     per_bound[b][key] = other if mine is None else pick(mine, other)
-        for r in viol:
-            if len(violating) < violation_cap:
-                violating.append(r)
+    violating = [
+        r for n in range(max_len + 1) for _, _, by_length in shards
+        for r in by_length.get(n, ())
+    ][:violation_cap]
     if "B12" in ids:
         orders = range(1, max(max_len, 1) + 1)
         rows = _rows(None, [("B12",)], orders, False, None, None)

@@ -182,15 +182,23 @@ def _cmd_verify(args) -> int:
     w = _word_from_args(args)
     ids = _parse_bound_ids(args.bounds)
     ns = None if args.n is None else [args.n]
+    late = []
     if args.n is not None and args.bounds is None:
         # with no bounds named, check those that apply at this order
         skipped = inadmissible_bounds(w, args.n, ids)
         for bound_id, reason in skipped.items():
             print(f"skipped {bound_id}: {reason}", file=sys.stderr)
         ids = tuple(b for b in ids if b not in skipped)
+        if args.with_closure:
+            # B8/B9 skipped on w still run on its closure where they apply
+            closure = palindromic_closure(w)
+            late = [b for b in ("B8", "B9") if b in skipped]
+            late = [b for b in late if b not in inadmissible_bounds(closure, args.n, late)]
     reports = evaluate_word(
         w, ids, ns=ns, force=args.force, include_closure=args.with_closure
     )
+    if late:
+        reports += evaluate_word(closure, late, ns=ns, force=args.force)
     _emit_json([r.to_json_dict() for r in reports])
     return 0 if all(r.holds for r in reports) else 1
 
@@ -256,8 +264,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.count_only and args.emit:
-        raise ValueError("--count-only and --emit are mutually exclusive")
     if args.emit:
         counts = []
         with open(args.emit, "w", encoding="ascii") as fh:
@@ -415,11 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="alphabet size")
     p.add_argument(
         "--max-len", type=_NONNEGATIVE, required=True, help="largest word length"
-    )
-    p.add_argument(
-        "--count-only",
-        action="store_true",
-        help="never materialize words (conflicts with --emit)",
     )
     p.add_argument(
         "--shard-prefix",

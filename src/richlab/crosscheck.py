@@ -134,7 +134,7 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
     # oracle_is_rich/oracle_defect are defined through the palindrome set;
     # reuse the one just computed instead of enumerating it two more times.
     # Likewise on fuzzed words the fast answers come off the shared index
-    # rather than the public wrappers, which rebuild one index per call.
+    # rather than the public wrappers, which run one Eertree per call.
     rich_slow = len(pal_slow) == n_len + 1
     rich_fast = is_rich(w) if rng is None else idx.distinct_count == n_len + 1
     if rich_fast != rich_slow:
@@ -148,7 +148,7 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
         if rng is None:
             fast_four = (lps(w), lpp(w), lpps(w), lppp(w))
         else:
-            # the public wrappers rebuild an index per call; on fuzzed words
+            # the public wrappers run one Eertree per call; on fuzzed words
             # read the same answers off two shared indexes
             ridx = PalIndex(reverse(w))
             fast_four = (idx.lps_word, ridx.lps_word, idx.lpps_word, ridx.lpps_word)

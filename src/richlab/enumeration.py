@@ -8,15 +8,15 @@ amortized, with pop() rolling the index back on backtrack.  The walk is
 iterative (a stack of letter iterators), so its depth is bounded by
 memory, not by Python's recursion limit.
 
-Counting can be sharded: rich prefixes of a fixed length are enumerated
-sequentially and the counts below each computed in worker processes;
-summation makes the merged total independent of scheduling.
+Counts and bound sweeps shard the same way, through _sharded: the words
+shorter than a fixed prefix length form one task and every rich prefix of
+that length another, and the results come back in task order, so merged
+totals do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -92,6 +92,29 @@ def _walk(
                 pop()
 
 
+def _sharded(worker, q: int, max_len: int, canonical: bool, jobs: int,
+             shard_prefix: int, *extra) -> list:
+    """worker's results over the rich words up to max_len, in task order.
+
+    A task (q, prefix, max_len, canonical, *extra) asks worker to cover the
+    rich extensions of prefix with at most max_len symbols.  The whole tree
+    is one call if jobs <= 1 or max_len <= shard_prefix.  Otherwise one task
+    covers the words shorter than shard_prefix and one each rich prefix of
+    that length, in lexicographic order, all in one process pool.
+    """
+    if jobs <= 1 or max_len <= shard_prefix:
+        return [worker((q, (), max_len, canonical, *extra))]
+    # imported here, so that a sequential run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    tasks = [(q, (), shard_prefix - 1, canonical, *extra)]
+    for word in _walk(q, (), shard_prefix, canonical):
+        if len(word) == shard_prefix:
+            tasks.append((q, tuple(word), max_len, canonical, *extra))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, tasks, chunksize=16))
+
+
 def enumerate_rich(
     q: int, n: int, canonical: bool = False
 ) -> Iterator[Word]:
@@ -115,7 +138,8 @@ def _counts_below(
     """Per-length counts of the rich words that extend one prefix.
 
     Entry d counts the extensions of length d, so entries below the prefix
-    length are 0 and the entry at it is 1.  This is the worker entry point.
+    length are 0 and the entry at it is 1.  This is rich_counts' worker for
+    _sharded; its shards are rich prefixes.
     """
     q, prefix, max_len, canonical = args
     counts = [0] * (max_len + 1)
@@ -148,20 +172,10 @@ def rich_counts(
     if max_len < 0:
         raise ValueError("length must be >= 0")
     start = time.perf_counter()
-    if jobs <= 1 or max_len <= shard_prefix:
-        counts = _counts_below((q, (), max_len, canonical))
-    else:
-        counts = [0] * (max_len + 1)
-        prefixes = []
-        for word in _walk(q, (), shard_prefix, canonical):
-            counts[len(word)] += 1
-            if len(word) == shard_prefix:
-                prefixes.append(tuple(word))
-        tasks = [(q, pre, max_len, canonical) for pre in prefixes]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for shard in pool.map(_counts_below, tasks, chunksize=16):
-                for d in range(shard_prefix + 1, max_len + 1):
-                    counts[d] += shard[d]
+    counts = [0] * (max_len + 1)
+    for shard in _sharded(_counts_below, q, max_len, canonical, jobs, shard_prefix):
+        for d, c in enumerate(shard):
+            counts[d] += c
     elapsed = time.perf_counter() - start
     return EnumStats(q, tuple(counts), (elapsed,) * (max_len + 1), canonical)
 

@@ -31,7 +31,7 @@ def _max_len() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_MAX_LEN
+        raise OracleLimitError(f"{ENV_MAX_LEN}={raw!r} is not an integer") from None
 
 
 def _guard(w: Word) -> str:

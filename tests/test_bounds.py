@@ -40,7 +40,7 @@ from richlab.structures import (
     sentinel_augment,
     switch_cores,
 )
-from richlab.paltree import Eertree, lpps
+from richlab.paltree import Eertree, lps, lpps
 from richlab.words import Word
 
 W = Word.parse
@@ -168,6 +168,18 @@ def test_word_profile_matches_reference_on_fibonacci_and_closures():
             _assert_profile_matches_reference(palindromic_closure(w))
             rich = _random_rich_word(rng, q, length)
             _assert_profile_matches_reference(palindromic_closure(rich))
+
+
+def test_word_profile_lps_length():
+    # the sweep builds each palindromic closure from it
+    rng = random.Random(5)
+    words = [
+        Word.from_symbols(t, 2) for n in range(11)
+        for t in itertools.product(range(2), repeat=n)
+    ]
+    words += [Word.from_symbols((rng.randrange(q) for _ in range(60)), q) for q in (1, 3, 255)]
+    for w in words:
+        assert word_profile(w).lps_length == (len(lps(w)) if len(w) else 0)
 
 
 # --- B1 ---
@@ -636,6 +648,17 @@ def test_sweep_fold_matches_folded_reports(q, max_len, include_closure):
             _assert_sweep_matches(summary, reference, cap=50)
 
 
+@pytest.mark.parametrize("q,max_len", [(3, 7), (4, 5)])
+def test_sharded_sweep_matches_folded_reports(monkeypatch, q, max_len):
+    from richlab import bounds
+
+    # a shard prefix below max_len makes jobs=2 run the prefix-sharded pool
+    monkeypatch.setattr(bounds, "DEFAULT_SHARD_PREFIX", 3)
+    reference = _reference_sweep(q, max_len, BOUND_IDS, True)
+    summary = sweep_rich(q, max_len, BOUND_IDS, include_closure=True, jobs=2)
+    _assert_sweep_matches(summary, reference, cap=50)
+
+
 def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
     from richlab import bounds
 
@@ -658,3 +681,16 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
             3, 6, ids, include_closure=True, jobs=jobs, violation_cap=cap
         )
         _assert_sweep_matches(summary, reference, cap)
+    # with a shard prefix of 3, jobs=2 runs the prefix-sharded pool; the
+    # words shorter than the prefix, one task, hold more violations than
+    # cap 7 and fewer than cap 30, the rest sit in the prefix shards
+    monkeypatch.setattr(bounds, "DEFAULT_SHARD_PREFIX", 3)
+    short = [
+        r for n in range(3) for w in enumerate_rich(3, n)
+        for r in evaluate_word(w, ids, include_closure=True) if not r.holds
+    ]
+    assert 7 < len(short) < 30
+    for cap in (7, 30, 10**6):
+        summary = sweep_rich(3, 6, ids, include_closure=True, jobs=2, violation_cap=cap)
+        _assert_sweep_matches(summary, reference, cap)
+

@@ -194,6 +194,21 @@ def test_verify_with_closure_adds_reports(capsys):
     assert len(json.loads(more)) > len(json.loads(base))
 
 
+def test_verify_order_runs_bounds_skipped_on_the_word_on_its_closure(capsys):
+    # B8/B9 need |w| >= 3, but the closure 010 admits both at n = 2
+    code, out, err = run(capsys, ["verify", "01", "--n", "2", "--with-closure"])
+    assert code == 0
+    assert "skipped B8: needs |w| >= 3" in err.splitlines()
+    reports = json.loads(out)
+    _, closure_out, _ = run(capsys, ["verify", "010", "--n", "2", "--bounds", "B8,B9"])
+    assert reports[-2:] == json.loads(closure_out)
+    assert [r["bound_id"] for r in reports].count("B8") == 1
+    # a bound that applies to neither the word nor its closure stays skipped
+    code, out, err = run(capsys, ["verify", "01", "--n", "3", "--with-closure"])
+    assert code == 0
+    assert not {"B8", "B9"} & {r["bound_id"] for r in json.loads(out)}
+
+
 # ---------------------------------------------------------------- parse errors
 
 
@@ -243,14 +258,12 @@ def test_enumerate_emit(tmp_path, capsys):
     assert [c["count"] for c in json.loads(out)["counts"]] == [1, 2, 4, 8]
 
 
-def test_enumerate_emit_conflicts_with_count_only(capsys, tmp_path):
-    code, _, err = run(
-        capsys,
-        ["enumerate", "--q", "2", "--max-len", "3", "--count-only",
-         "--emit", str(tmp_path / "x")],
+def test_enumerate_count_only_is_an_unknown_argument(capsys):
+    code, out, err = run(
+        capsys, ["enumerate", "--q", "2", "--max-len", "3", "--count-only"]
     )
-    assert code == 2
-    assert "mutually exclusive" in err
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --count-only" in err
 
 
 def test_enumerate_canonical(capsys):
@@ -324,6 +337,13 @@ def test_oracle_check_bad_cell_spec(capsys):
     code, _, err = run(capsys, ["oracle-check", "--cells", "nope"])
     assert code == 2
     assert "expected the form" in err
+
+
+def test_oracle_check_unparseable_length_cap(capsys, monkeypatch):
+    monkeypatch.setenv("RICHLAB_MAX_WORD_LEN", "abc")
+    code, out, err = run(capsys, ["oracle-check", "--exhaustive-max-len", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: RICHLAB_MAX_WORD_LEN='abc' is not an integer\n"
 
 
 # ---------------------------------------------------------------- plumbing

@@ -128,6 +128,10 @@ def test_parallel_counting_matches_sequential():
     par = rich_counts(3, 8, jobs=2, shard_prefix=3, canonical=True)
     assert par.counts == seq.counts
     assert par.canonical
+    # shard_prefix 0: the whole tree is one shard, the short-word task empty
+    par = rich_counts(3, 8, jobs=2, shard_prefix=0, canonical=True)
+    assert par.counts == seq.counts
+    assert rich_counts(2, 11, jobs=2, shard_prefix=0).counts == rich_counts(2, 11).counts
     # n <= shard_prefix falls back to the sequential walk
     assert count_rich(2, 4, jobs=2, shard_prefix=4) == PI2[4]
     assert count_rich(3, 3, jobs=2, shard_prefix=8) == PI3[3]

@@ -94,7 +94,8 @@ def test_length_cap_honours_environment(monkeypatch):
         oracle_palindrome_set(W("00000"))
     oracle_palindrome_set(W("0000"))  # at the cap: allowed
     monkeypatch.setenv("RICHLAB_MAX_WORD_LEN", "not-a-number")
-    oracle_palindrome_set(W("00000"))  # unparseable: default cap applies
+    with pytest.raises(OracleLimitError, match="'not-a-number'"):
+        oracle_palindrome_set(W("00000"))  # unparseable: an error, no fallback
 
 
 def test_oracle_module_is_independent_of_fast_paths():
