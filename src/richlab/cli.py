@@ -305,11 +305,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # a malformed cell list is a usage error before any checking starts
+    specs = parse_cells(args.cells) if args.cells else ()
     results = []
     if args.exhaustive_max_len is not None:
         results.append(exhaustive_check(args.exhaustive_q, args.exhaustive_max_len))
-    if args.cells:
-        results.extend(run_cells(parse_cells(args.cells), args.seed))
+    if specs:
+        results.extend(run_cells(specs, args.seed, args.jobs))
     if not results:
         raise ValueError("nothing to check: give --cells and/or --exhaustive-max-len")
     payload = []
@@ -451,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--exhaustive-max-len",
-        type=int,
+        type=_NONNEGATIVE,
         help="also compare every word up to this length",
     )
     p.add_argument(
@@ -459,6 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="alphabet size for the exhaustive comparison (default 2)",
+    )
+    p.add_argument(
+        "--jobs",
+        type=_POSITIVE,
+        default=1,
+        help="worker processes for the cells (default 1)",
     )
     p.set_defaults(func=_cmd_oracle_check)
 

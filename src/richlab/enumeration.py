@@ -11,7 +11,8 @@ memory, not by Python's recursion limit.
 Counts and bound sweeps shard the same way, through _sharded: the words
 shorter than a fixed prefix length form one task and every rich prefix of
 that length another, and the results come back in task order, so merged
-totals do not depend on scheduling.
+totals do not depend on scheduling.  _pool_map runs such tasks; the
+cross-check's cells go through it too.
 """
 
 from __future__ import annotations
@@ -104,15 +105,25 @@ def _sharded(worker, q: int, max_len: int, canonical: bool, jobs: int,
     """
     if jobs <= 1 or max_len <= shard_prefix:
         return [worker((q, (), max_len, canonical, *extra))]
-    # imported here, so that a sequential run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     tasks = [(q, (), shard_prefix - 1, canonical, *extra)]
     for word in _walk(q, (), shard_prefix, canonical):
         if len(word) == shard_prefix:
             tasks.append((q, tuple(word), max_len, canonical, *extra))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=16))
+    return _pool_map(worker, tasks, jobs, chunksize=16)
+
+
+def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
+    """[fn(t) for t in tasks], computed in a pool of up to jobs processes.
+
+    Results come back in task order whatever the scheduling; fn and the
+    tasks must pickle.  This is the one process pool of the package.
+    """
+    # imported here, so that a sequential run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a forking pool starts all its workers at once: none beyond the tasks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 def enumerate_rich(

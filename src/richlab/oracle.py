@@ -1,15 +1,18 @@
 """Brute-force reference implementations.
 
 Everything in this module chases definitions literally: palindromic factors
-by checking every substring, richness by counting that set, switches by
-testing every window, returns by testing every occurrence pair.  Nothing
-here imports from the fast-path modules (paltree, structures, enumeration,
-bounds); only the shared data model (Word, SwitchRecord) is used.  Slow on
-purpose; input length is capped (RICHLAB_MAX_WORD_LEN, default 5000).
+by checking every substring whose end letters agree, richness by counting
+that set, switches by testing every window, returns by testing every
+occurrence pair.  Nothing here imports from the fast-path modules (paltree,
+structures, enumeration, bounds); only the shared data model (Word,
+SwitchRecord) is used.  Slow on purpose; input length is capped
+(RICHLAB_MAX_WORD_LEN, default 5000).  The switch scan of the last few
+(word, n) is remembered, which changes no answer.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from bisect import bisect_left, bisect_right
 
@@ -34,10 +37,14 @@ def _max_len() -> int:
         raise OracleLimitError(f"{ENV_MAX_LEN}={raw!r} is not an integer") from None
 
 
-def _guard(w: Word) -> str:
+def _check_length(length: int) -> None:
     cap = _max_len()
-    if len(w) > cap:
-        raise OracleLimitError(f"word length {len(w)} exceeds oracle cap {cap}")
+    if length > cap:
+        raise OracleLimitError(f"word length {length} exceeds oracle cap {cap}")
+
+
+def _guard(w: Word) -> str:
+    _check_length(len(w))
     return w.chars
 
 
@@ -46,16 +53,18 @@ def oracle_palindrome_set(w: Word) -> frozenset[Word]:
     s = _guard(w)
     q = w.alphabet_size
     found = {""}
-    L = len(s)
-    for i in range(L):
-        ci = s[i]
-        for j in range(i + 1, L + 1):
-            if s[j - 1] != ci:
-                continue
-            sub = s[i:j]
+    # a palindrome starts and ends with the same letter, so each start i is
+    # tried against the positions j >= i of its own letter only
+    ends: dict[str, list[int]] = {}
+    for j, c in enumerate(s):
+        ends.setdefault(c, []).append(j)
+    for i, c in enumerate(s):
+        same = ends[c]
+        for j in same[bisect_left(same, i) :]:
+            sub = s[i : j + 1]
             if sub == sub[::-1]:
                 found.add(sub)
-    return frozenset(Word(p, q) for p in found)
+    return frozenset(Word._trusted(p, q) for p in found)
 
 
 def oracle_factor_set(w: Word, n: int) -> frozenset[Word]:
@@ -74,21 +83,31 @@ def oracle_defect(w: Word) -> int:
     return len(w) + 1 - len(oracle_palindrome_set(w))
 
 
-def oracle_switches(w: Word, n: int) -> frozenset[SwitchRecord]:
-    """Windows a·u·b of length n with u a palindrome and a != b."""
-    s = _guard(w)
-    q = w.alphabet_size
+# One cross-check asks for the switches of one (word, n) directly, through
+# the pairs, through the maximum over orders and once per lpps class; the
+# scan is kept for the last few keys.  The guard runs before every lookup,
+# and q is part of the key because Words compare by chars alone.
+@functools.lru_cache(maxsize=64)
+def _switch_scan(s: str, q: int, n: int) -> frozenset[SwitchRecord]:
+    """Windows a·u·b of s of length n with u a palindrome and a != b."""
     if n <= 2:
         return frozenset()
-    out = set()
+    found = set()
     for i in range(len(s) - n + 1):
-        window = s[i : i + n]
-        if window[0] == window[-1]:
+        a, b = s[i], s[i + n - 1]
+        if a == b:
             continue
-        core = window[1:-1]
+        core = s[i + 1 : i + n - 1]
         if core == core[::-1]:
-            out.add(SwitchRecord(ord(window[0]), Word(core, q), ord(window[-1])))
-    return frozenset(out)
+            found.add((a, core, b))
+    return frozenset(
+        SwitchRecord(ord(a), Word._trusted(core, q), ord(b)) for a, core, b in found
+    )
+
+
+def oracle_switches(w: Word, n: int) -> frozenset[SwitchRecord]:
+    """Windows a·u·b of length n with u a palindrome and a != b."""
+    return _switch_scan(_guard(w), w.alphabet_size, n)
 
 
 def oracle_switch_pairs(w: Word, n: int) -> frozenset[SwitchPair]:
@@ -142,13 +161,16 @@ def oracle_lpp(w: Word) -> Word:
     raise AssertionError("unreachable: single letters are palindromes")
 
 
-def oracle_lpps(w: Word) -> Word:
-    s = _guard(w)
+def _lpps_str(s: str) -> str:
     for L in range(len(s) - 1, 0, -1):
         suf = s[len(s) - L :]
         if suf == suf[::-1]:
-            return Word(suf, w.alphabet_size)
-    return Word("", w.alphabet_size)
+            return suf
+    return ""
+
+
+def oracle_lpps(w: Word) -> Word:
+    return Word(_lpps_str(_guard(w)), w.alphabet_size)
 
 
 def oracle_lppp(w: Word) -> Word:
@@ -175,13 +197,14 @@ def oracle_cores_with_lpps(w: Word, n: int, r: Word) -> frozenset[Word]:
     out = set()
     for rec in oracle_switches(w, n + 2):
         core = rec.core
-        if oracle_lpps(core).chars == r.chars:
+        if _lpps_str(core.chars) == r.chars:
             out.add(core)
     return frozenset(out)
 
 
 def oracle_max_switch_count(w: Word, n: int) -> int:
+    s, q = _guard(w), w.alphabet_size
     best = 1
     for i in range(3, n + 1):
-        best = max(best, len(oracle_switches(w, i)))
+        best = max(best, len(_switch_scan(s, q, i)))
     return best

@@ -92,11 +92,16 @@ class Eertree:
         self._word.pop()
 
     def node_word(self, node: int, alphabet_size: int | None = None) -> Word:
+        """The palindrome at node.
+
+        A given alphabet_size is trusted to cover every appended symbol, as
+        it does for a tree fed from a Word with that alphabet size.
+        """
         end = self._end[node]
-        length = self._len[node]
-        return Word.from_symbols(
-            self._word[end - length + 1 : end + 1], alphabet_size
-        )
+        symbols = self._word[end - self._len[node] + 1 : end + 1]
+        if alphabet_size is None:
+            return Word.from_symbols(symbols)
+        return Word._trusted("".join(map(chr, symbols)), alphabet_size)
 
     def last_node(self) -> int:
         return self._last

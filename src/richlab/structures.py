@@ -82,13 +82,21 @@ def complete_returns(w: Word, u: Word) -> frozenset[Word]:
     return frozenset(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _switch_records(s: str, q: int, n: int) -> frozenset[SwitchRecord]:
+    # q is part of the key: Words compare by chars alone, but the cores
+    # must carry the alphabet size of the word they came from
+    windows = {s[i : i + n] for i in _cached_switch_starts(s).get(n, ())}
+    return frozenset(
+        SwitchRecord(ord(x[0]), Word._trusted(x[1:-1], q), ord(x[-1])) for x in windows
+    )
+
+
 def switches(w: Word, n: int) -> frozenset[SwitchRecord]:
     """All length-n factors a·u·b of w with u a palindrome and a != b."""
-    s, q = w.chars, w.alphabet_size
-    return frozenset(
-        SwitchRecord(ord(s[i]), Word(s[i + 1 : i + n - 1], q), ord(s[i + n - 1]))
-        for i in _cached_switch_starts(s).get(n, ())
-    )
+    # The pair, core and partition queries, and a cross-check of one word,
+    # ask for the same (word, n) again and again; the set is shared.
+    return _switch_records(w.chars, w.alphabet_size, n)
 
 
 def switch_pairs(w: Word, n: int) -> frozenset[SwitchPair]:

@@ -58,6 +58,18 @@ class Word:
         raise AttributeError("Word is immutable")
 
     @classmethod
+    def _trusted(cls, chars: str, alphabet_size: int) -> "Word":
+        """A Word built without validation.
+
+        Only for chars cut or reversed out of an already-validated word
+        with the same alphabet size, so every symbol is known to fit.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "chars", chars)
+        object.__setattr__(w, "alphabet_size", alphabet_size)
+        return w
+
+    @classmethod
     def from_symbols(
         cls, symbols: Iterable[int], alphabet_size: int | None = None
     ) -> "Word":
@@ -111,7 +123,7 @@ class Word:
 
     def __getitem__(self, item: Union[int, slice]):
         if isinstance(item, slice):
-            return Word(self.chars[item], self.alphabet_size)
+            return Word._trusted(self.chars[item], self.alphabet_size)
         return ord(self.chars[item])
 
     def __add__(self, other: "Word") -> "Word":
@@ -148,7 +160,7 @@ EMPTY = Word()
 
 
 def reverse(w: Word) -> Word:
-    return Word(w.chars[::-1], w.alphabet_size)
+    return Word._trusted(w.chars[::-1], w.alphabet_size)
 
 
 def is_palindrome(w: Word) -> bool:
@@ -157,9 +169,7 @@ def is_palindrome(w: Word) -> bool:
 
 def trim(w: Word) -> Word:
     """Drop the first and last symbol; empty for |w| <= 2."""
-    if len(w) <= 2:
-        return Word("", w.alphabet_size)
-    return Word(w.chars[1:-1], w.alphabet_size)
+    return Word._trusted(w.chars[1:-1], w.alphabet_size)
 
 
 def mirror(n: int, j: int) -> int:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from richlab import oracle
 from richlab.crosscheck import (
     CellSpec,
     compare_word,
@@ -10,6 +11,7 @@ from richlab.crosscheck import (
     run_cell,
     run_cells,
 )
+from richlab.structures import cores_with_lpps, switch_pairs, switches
 from richlab.words import EMPTY, Word
 
 W3 = Word.parse("1100100010011001010")
@@ -69,6 +71,37 @@ def test_run_cells_preserves_order():
     results = run_cells(specs, seed=1)
     assert [r.spec for r in results] == list(specs)
     assert all(r.ok for r in results)
+
+
+def test_run_cells_in_a_pool_match_the_sequential_run():
+    specs = parse_cells("q2:len12:8,q3:len30:5,q4:len20:4,q2:len40:3")
+
+    def payload(results):
+        out = [r.to_json_dict() for r in results]
+        for d in out:
+            d.pop("elapsed_seconds")
+        return out
+
+    assert payload(run_cells(specs, seed=11, jobs=2)) == payload(run_cells(specs, seed=11))
+
+
+def test_exhaustive_check_rejects_a_negative_length():
+    with pytest.raises(ValueError, match=">= 0"):
+        exhaustive_check(2, -1)
+
+
+def test_switch_memos_keep_each_alphabet_size():
+    # Words compare by chars alone, so the memos must key on q as well
+    chars = W3.chars
+    for q in (2, 3, 2):
+        w = Word(chars, q)
+        for side in (switches, oracle.oracle_switches):
+            recs = side(w, 3)
+            assert recs and {r.core.alphabet_size for r in recs} == {q}
+        for side in (switch_pairs, oracle.oracle_switch_pairs):
+            assert {p.core.alphabet_size for p in side(w, 3)} == {q}
+        for side in (cores_with_lpps, oracle.oracle_cores_with_lpps):
+            assert {u.alphabet_size for u in side(w, 1, EMPTY)} == {q}
 
 
 def test_harness_detects_an_injected_fault(monkeypatch):

@@ -1,6 +1,7 @@
 """Brute-force reference implementations: definitional goldens and guards."""
 
 import ast
+import itertools
 import pathlib
 
 import pytest
@@ -9,6 +10,7 @@ from richlab.oracle import (
     OracleLimitError,
     oracle_closure,
     oracle_complete_returns,
+    oracle_cores_with_lpps,
     oracle_defect,
     oracle_factor_set,
     oracle_is_rich,
@@ -16,6 +18,7 @@ from richlab.oracle import (
     oracle_lppp,
     oracle_lpps,
     oracle_lps,
+    oracle_max_switch_count,
     oracle_palindrome_set,
     oracle_switch_pairs,
     oracle_switches,
@@ -88,6 +91,32 @@ def test_closure_goldens():
     assert oracle_closure(W("12321")) == W("12321")
 
 
+def test_scans_equal_the_literal_definitions():
+    # the palindrome and switch scans skip windows whose end letters rule
+    # them out; compare them with the plain definitions over every substring
+    def is_pal(u):
+        return u == u[::-1]
+
+    for q, max_len in ((2, 9), (3, 6)):
+        for n_len in range(max_len + 1):
+            for t in itertools.product(range(q), repeat=n_len):
+                w = Word.from_symbols(t, q)
+                s = w.chars
+                subs = {s[i:j] for i in range(n_len + 1) for j in range(i, n_len + 1)}
+                assert {p.chars for p in oracle_palindrome_set(w)} == {
+                    u for u in subs if is_pal(u)
+                }
+                for n in range(n_len + 1):
+                    want = {
+                        (ord(u[0]), u[1:-1], ord(u[-1]))
+                        for u in subs
+                        if len(u) == n > 2 and u[0] != u[-1] and is_pal(u[1:-1])
+                    }
+                    got = oracle_switches(w, n)
+                    assert {(r.left, r.core.chars, r.right) for r in got} == want
+                    assert all(r.core.alphabet_size == q for r in got)
+
+
 def test_length_cap_honours_environment(monkeypatch):
     monkeypatch.setenv("RICHLAB_MAX_WORD_LEN", "4")
     with pytest.raises(OracleLimitError):
@@ -96,6 +125,21 @@ def test_length_cap_honours_environment(monkeypatch):
     monkeypatch.setenv("RICHLAB_MAX_WORD_LEN", "not-a-number")
     with pytest.raises(OracleLimitError, match="'not-a-number'"):
         oracle_palindrome_set(W("00000"))  # unparseable: an error, no fallback
+
+
+def test_length_cap_is_checked_before_the_switch_memo(monkeypatch):
+    monkeypatch.delenv("RICHLAB_MAX_WORD_LEN", raising=False)
+    w = W("0110100")
+    assert oracle_switches(w, 3)  # the scan of (w, 3) is now remembered
+    monkeypatch.setenv("RICHLAB_MAX_WORD_LEN", "4")
+    for call in (
+        lambda: oracle_switches(w, 3),
+        lambda: oracle_switch_pairs(w, 3),
+        lambda: oracle_max_switch_count(w, 5),
+        lambda: oracle_cores_with_lpps(w, 1, Word("")),
+    ):
+        with pytest.raises(OracleLimitError):
+            call()
 
 
 def test_oracle_module_is_independent_of_fast_paths():
