@@ -28,7 +28,7 @@ from .bounds import (
     sweep_rich,
     word_profile,
 )
-from .crosscheck import exhaustive_check, parse_cells, run_cells
+from .crosscheck import check_cell, exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
 from .structures import palindromic_closure, switches
@@ -305,13 +305,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    # a malformed cell list is a usage error before any checking starts
+    # a malformed cell list, or a cell over the oracle's length cap, is an
+    # error before any checking starts
     specs = parse_cells(args.cells) if args.cells else ()
+    for spec in specs:
+        check_cell(spec)
     results = []
     if args.exhaustive_max_len is not None:
         results.append(exhaustive_check(args.exhaustive_q, args.exhaustive_max_len))
     if specs:
-        results.extend(run_cells(specs, args.seed, args.jobs))
+        results.extend(run_cells(specs, args.seed))
     if not results:
         raise ValueError("nothing to check: give --cells and/or --exhaustive-max-len")
     payload = []
@@ -461,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="alphabet size for the exhaustive comparison (default 2)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=_POSITIVE,
-        default=1,
-        help="worker processes for the cells (default 1)",
     )
     p.set_defaults(func=_cmd_oracle_check)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
 import re
 import time
@@ -25,9 +26,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .enumeration import _pool_map
-from .paltree import (
-    PalIndex, _suffix_palindromes, _tree_of, defect, is_rich, lpp, lppp, lps, lpps
-)
+from .paltree import PalIndex, defect, is_rich, lpp, lppp, lps, lpps
 from .structures import (
     complete_returns,
     cores_with_lpps,
@@ -153,13 +152,9 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
             fast_four = (lps(w), lpp(w), lpps(w), lppp(w))
         else:
             # the public wrappers run one Eertree per call; on fuzzed words
-            # read the same answers off the shared index and one Eertree of
-            # the reversed word
-            rtree = _tree_of(reverse(w).chars)
-            lpp_node, lppp_node = _suffix_palindromes(rtree)
-            q = w.alphabet_size
-            fast_four = (idx.lps_word, rtree.node_word(lpp_node, q),
-                         idx.lpps_word, rtree.node_word(lppp_node, q))
+            # read the same answers off two shared indexes
+            ridx = PalIndex(reverse(w))
+            fast_four = (idx.lps_word, ridx.lps_word, idx.lpps_word, ridx.lpps_word)
         for name, a, slow_fn in zip(
             ("lps", "lpp", "lpps", "lppp"),
             fast_four,
@@ -271,7 +266,7 @@ def _random_word(rng: random.Random, q: int, length: int) -> Word:
     return Word.from_symbols((rng.randrange(q) for _ in range(length)), q)
 
 
-def _check_cell(spec: CellSpec) -> None:
+def check_cell(spec: CellSpec) -> None:
     """Reject a cell whose words the oracle would refuse, before any is built."""
     try:
         oracle._check_length(spec.length)
@@ -281,7 +276,7 @@ def _check_cell(spec: CellSpec) -> None:
 
 def run_cell(spec: CellSpec, seed: int) -> CellResult:
     """Fuzz one cell; the RNG stream depends only on (seed, q, length)."""
-    _check_cell(spec)
+    check_cell(spec)
     rng = random.Random(f"{seed}:{spec.q}:{spec.length}")
     start = time.perf_counter()
     problems: list[str] = []
@@ -290,18 +285,28 @@ def run_cell(spec: CellSpec, seed: int) -> CellResult:
     return CellResult(spec, spec.count, tuple(problems), time.perf_counter() - start)
 
 
-def run_cells(specs, seed: int, jobs: int = 1) -> list[CellResult]:
-    """run_cell on every spec, in spec order, over up to jobs processes.
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def run_cells(specs, seed: int) -> list[CellResult]:
+    """run_cell on every spec, in spec order, one process per usable CPU.
 
     Cells are independent and each one's RNG stream depends only on (seed,
-    q, length), so the results do not depend on jobs.  Every cell is
-    checked against the oracle's length cap before any runs, and the
-    largest cells (by letters fuzzed) are handed out first.
+    q, length), so the results do not depend on how many processes run
+    them.  Every cell is checked against the oracle's length cap before
+    any runs, and the largest cells (by letters fuzzed) are handed out
+    first.
     """
     specs = list(specs)
     for spec in specs:
-        _check_cell(spec)
-    if jobs <= 1 or len(specs) <= 1:
+        check_cell(spec)
+    jobs = min(_cpus(), len(specs))
+    if jobs <= 1:
         return [run_cell(spec, seed) for spec in specs]
     order = sorted(range(len(specs)), key=lambda i: -specs[i].length * specs[i].count)
     done = _pool_map(

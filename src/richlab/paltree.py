@@ -92,15 +92,20 @@ class Eertree:
         self._word.pop()
 
     def node_word(self, node: int, alphabet_size: int | None = None) -> Word:
-        """The palindrome at node.
+        end = self._end[node]
+        length = self._len[node]
+        return Word.from_symbols(
+            self._word[end - length + 1 : end + 1], alphabet_size
+        )
 
-        A given alphabet_size is trusted to cover every appended symbol, as
-        it does for a tree fed from a Word with that alphabet size.
+    def _node_word(self, node: int, alphabet_size: int) -> Word:
+        """node_word without validation, for a tree fed from one Word.
+
+        Only for a tree whose symbols all came from a Word with this
+        alphabet size, so every symbol is known to fit.
         """
         end = self._end[node]
         symbols = self._word[end - self._len[node] + 1 : end + 1]
-        if alphabet_size is None:
-            return Word.from_symbols(symbols)
         return Word._trusted("".join(map(chr, symbols)), alphabet_size)
 
     def last_node(self) -> int:
@@ -156,7 +161,7 @@ class PalIndex:
         by_length: dict[int, set[Word]] = {0: {Word("", q)}}
         for node in range(2, tree.node_count):
             by_length.setdefault(tree.node_length(node), set()).add(
-                tree.node_word(node, q)
+                tree._node_word(node, q)
             )
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "counts_by_prefix", tuple(counts))
@@ -167,8 +172,8 @@ class PalIndex:
             {n: frozenset(s) for n, s in by_length.items()},
         )
         lps_node, lpps_node = _suffix_palindromes(tree)
-        object.__setattr__(self, "lps_word", tree.node_word(lps_node, q))
-        object.__setattr__(self, "lpps_word", tree.node_word(lpps_node, q))
+        object.__setattr__(self, "lps_word", tree._node_word(lps_node, q))
+        object.__setattr__(self, "lpps_word", tree._node_word(lpps_node, q))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PalIndex is immutable")
@@ -213,7 +218,7 @@ def lps(w: Word) -> Word:
     if len(w) == 0:
         raise ValueError("lps of the empty word is undefined")
     tree = _tree_of(w.chars)
-    return tree.node_word(_suffix_palindromes(tree)[0], w.alphabet_size)
+    return tree._node_word(_suffix_palindromes(tree)[0], w.alphabet_size)
 
 
 def lpp(w: Word) -> Word:
@@ -226,7 +231,7 @@ def lpp(w: Word) -> Word:
 @functools.lru_cache(maxsize=65536)
 def _lpps_of(chars: str, q: int) -> Word:
     tree = _tree_of(chars)
-    return tree.node_word(_suffix_palindromes(tree)[1], q)
+    return tree._node_word(_suffix_palindromes(tree)[1], q)
 
 
 def lpps(w: Word) -> Word:

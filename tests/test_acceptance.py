@@ -117,7 +117,7 @@ def test_criterion_2_oracle_equivalence():
     results = [exhaustive_check(2, 12)]
     cells = parse_cells(",".join(
         f"q{q}:len{n}:10000" for q in (2, 3, 4) for n in (20, 50, 200)))
-    results.extend(run_cells(cells, seed=20260814, jobs=2))
+    results.extend(run_cells(cells, seed=20260814))
     elapsed = time.perf_counter() - start
 
     assert results[0].words_checked == 8191  # every binary word, length <= 12

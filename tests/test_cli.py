@@ -339,25 +339,31 @@ def test_oracle_check_bad_cell_spec(capsys):
     assert "expected the form" in err
 
 
-def test_oracle_check_jobs_leave_stdout_unchanged(capsys):
+def test_oracle_check_stdout_does_not_depend_on_the_cpu_count(capsys, monkeypatch):
     argv = ["oracle-check", "--cells", "q2:len12:6,q3:len30:4,q4:len20:3", "--seed", "3"]
-    code_one, one, _ = run(capsys, argv + ["--jobs", "1"])
-    code_two, two, _ = run(capsys, argv + ["--jobs", "2"])
+    monkeypatch.setattr("richlab.crosscheck._cpus", lambda: 1)
+    code_one, one, _ = run(capsys, argv)
+    monkeypatch.setattr("richlab.crosscheck._cpus", lambda: 2)
+    code_two, two, _ = run(capsys, argv)
     assert code_one == code_two == 0
     assert one == two
 
 
+@pytest.mark.parametrize("exhaustive", [[], ["--exhaustive-max-len", "12"]])
 @pytest.mark.parametrize("cell", ["q2:len99999999:1", "q2:len6000:1"])
-def test_oracle_check_cell_over_the_length_cap(capsys, monkeypatch, cell):
-    # refused before a single word is generated, so even a huge length
-    # returns at once instead of building the word
+def test_oracle_check_cell_over_the_length_cap(capsys, monkeypatch, cell, exhaustive):
+    # refused before a single word is generated or checked, so even a huge
+    # length returns at once instead of building the word
     monkeypatch.delenv("RICHLAB_MAX_WORD_LEN", raising=False)
 
     def no_words(*args):
         raise AssertionError("a word was generated")
 
     monkeypatch.setattr("richlab.crosscheck._random_word", no_words)
-    code, out, err = run(capsys, ["oracle-check", "--cells", f"q2:len20:1,{cell}"])
+    monkeypatch.setattr("richlab.cli.exhaustive_check", no_words)
+    code, out, err = run(
+        capsys, ["oracle-check", "--cells", f"q2:len20:1,{cell}", *exhaustive]
+    )
     length = cell.split(":")[1].removeprefix("len")
     assert code == 2 and out == ""
     assert err == f"error: cell {cell}: word length {length} exceeds oracle cap 5000\n"
@@ -384,7 +390,6 @@ def test_oracle_check_unparseable_length_cap(capsys, monkeypatch):
         (["enumerate", "--q", "2", "--max-len", "3", "--shard-prefix", "-2",
           "--jobs", "2"], "--shard-prefix"),
         (["oracle-check", "--exhaustive-max-len", "-1"], "--exhaustive-max-len"),
-        (["oracle-check", "--cells", "q2:len5:1", "--jobs", "0"], "--jobs"),
     ],
 )
 def test_out_of_range_integers_are_usage_errors(capsys, argv, flag):

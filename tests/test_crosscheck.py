@@ -73,16 +73,17 @@ def test_run_cells_preserves_order():
     assert all(r.ok for r in results)
 
 
-def test_run_cells_in_a_pool_match_the_sequential_run():
+def test_run_cells_in_a_pool_match_the_sequential_run(monkeypatch):
     specs = parse_cells("q2:len12:8,q3:len30:5,q4:len20:4,q2:len40:3")
 
-    def payload(results):
-        out = [r.to_json_dict() for r in results]
+    def payload(cpus):
+        monkeypatch.setattr("richlab.crosscheck._cpus", lambda: cpus)
+        out = [r.to_json_dict() for r in run_cells(specs, seed=11)]
         for d in out:
             d.pop("elapsed_seconds")
         return out
 
-    assert payload(run_cells(specs, seed=11, jobs=2)) == payload(run_cells(specs, seed=11))
+    assert payload(2) == payload(1)
 
 
 def test_exhaustive_check_rejects_a_negative_length():

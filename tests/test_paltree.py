@@ -75,6 +75,16 @@ def test_pop_exactly_undoes_node_creation():
 # --- snapshot index ---
 
 
+def test_node_word_still_checks_the_alphabet():
+    # the tree takes any symbol; the public node_word must refuse one that
+    # does not fit the alphabet size it is asked for
+    tree = Eertree()
+    tree.append(5)
+    with pytest.raises(ValueError):
+        tree.node_word(2, 2)
+    assert tree.node_word(2, 6) == Word("\x05", 6)
+
+
 def test_index_counts_per_prefix():
     idx = PalIndex(W("0110"))
     # prefixes: eps, 0, 01, 011, 0110 -> 1, 2, 3, 4, 5 palindromes incl. eps
