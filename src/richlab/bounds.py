@@ -10,9 +10,9 @@ on (q, n) is computed once per (q, n) and call.
 
 Every check walks the table as rows.  evaluate_word and the check_*
 wrappers turn each row into a BoundReport with the exact left-hand side;
-sweep_rich folds the rows of every rich word straight into per-bound
-aggregates and builds a BoundReport only for a violation (and for B12,
-which runs once per order).
+sweep_rich folds the rows of every canonical rich word, weighted by the
+size of its letter orbit, straight into per-bound aggregates and builds a
+BoundReport only for a violation (and for B12, which runs once per order).
 
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
 
-from .enumeration import DEFAULT_SHARD_PREFIX, _sharded, _walk
+from .enumeration import DEFAULT_SHARD_PREFIX, _orbit, _sharded, _walk
 from .paltree import Eertree, _lpps_chars
 from .structures import _switch_starts
 from .words import Word
@@ -901,22 +901,25 @@ def _new_agg() -> dict:
     }
 
 
-def _fold_rows(agg: dict, rows: Iterable[tuple], violating: list, cap: int) -> None:
-    """Fold rows into the per-bound aggregates; only a violation becomes a report."""
+def _fold_rows(agg: dict, rows: Iterable[tuple], weight: int) -> bool:
+    """Fold rows, each standing for weight reports, into the per-bound aggregates.
+
+    Returns whether any row is a violation.
+    """
+    violated = False
     for row in rows:
         b, _, _, _, lhs, rhs, covered, holds, equality = row
         a = agg[b.bound_id]
-        a["reports"] += 1
+        a["reports"] += weight
         if holds:
-            a["passes"] += 1
+            a["passes"] += weight
         else:
-            a["violations"] += 1
-            if len(violating) < cap:
-                violating.append(_report(*row))
+            a["violations"] += weight
+            violated = True
         if equality:
-            a["equalities"] += 1
+            a["equalities"] += weight
         if not covered:
-            a["uncovered"] += 1
+            a["uncovered"] += weight
         if rhs.__class__ is int:
             slack = _slack(lhs, rhs, None)
         else:
@@ -927,26 +930,59 @@ def _fold_rows(agg: dict, rows: Iterable[tuple], violating: list, cap: int) -> N
                 a["min_slack_log2"] = slack
             if hi is None or slack > hi:
                 a["max_slack_log2"] = slack
+    return violated
 
 
 def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
-    """sweep_rich's worker for _sharded: fold every rich extension of a prefix.
+    """sweep_rich's worker for _sharded: fold every canonical extension of a prefix.
 
-    Returns the word count, the per-bound aggregates and the violating
-    reports by word length, each length's list capped.  The rhs cache and
-    the log-domain memo live for this call only.
+    Each canonical word stands for its letter orbit, every renaming of its
+    k letters into q, and its rows are folded with that multiplicity,
+    math.perm(q, k).  Returns the number of words so covered, the per-bound
+    aggregates and, by length, the first cap violating canonical words (as
+    symbol tuples).  The rhs cache and the log-domain memo live for this
+    call only.
     """
     q, prefix, max_len, canonical, bound_ids, include_closure, cap = args
     agg = {b: _new_agg() for b in bound_ids}
-    by_length: dict[int, list] = {n: [] for n in range(len(prefix), max_len + 1)}
+    kept: dict[int, list] = {n: [] for n in range(len(prefix), max_len + 1)}
+    weights = [math.perm(q, k) for k in range(q + 1)]
     words = 0
     cache, memo = {}, {}
-    for symbols in _walk(q, prefix, max_len, canonical):
-        words += 1
+    for symbols, k in _walk(q, prefix, max_len, canonical):
+        words += weights[k]
         w = Word.from_symbols(symbols, q)
         rows = _word_rows(w, bound_ids, None, False, include_closure, cache, memo)
-        _fold_rows(agg, rows, by_length[len(symbols)], cap)
-    return words, agg, by_length
+        if _fold_rows(agg, rows, weights[k]):
+            violators = kept[len(symbols)]
+            if len(violators) < cap:
+                violators.append(tuple(symbols))
+    return words, agg, kept
+
+
+def _violating_reports(
+    kept: Sequence[tuple[int, ...]], q: int, bound_ids: Sequence[str],
+    include_closure: bool, cap: int,
+) -> list[BoundReport]:
+    """The first cap violating reports of one length's words, in report order.
+
+    kept holds the first cap violating canonical words of the length, in
+    lexicographic order.  Renaming keeps every row's verdict, so the orbit
+    of each violates too.  A word whose canonical form is not kept comes
+    after cap violating words, which are all in the kept orbits.
+    """
+    # imported here: only a sweep that finds a violation merges orbits
+    import heapq
+
+    reports: list[BoundReport] = []
+    cache, memo = {}, {}
+    for symbols in heapq.merge(*(_orbit(c, q) for c in kept)):
+        if len(reports) >= cap:
+            break
+        w = Word.from_symbols(symbols, q)
+        rows = _word_rows(w, bound_ids, None, False, include_closure, cache, memo)
+        reports.extend(_report(*row) for row in rows if not row[7])
+    return reports[:cap]
 
 
 def sweep_rich(
@@ -959,9 +995,17 @@ def sweep_rich(
 ) -> SweepSummary:
     """Check the requested bounds on every rich word of length <= max_len.
 
-    Work shards by rich prefix; merged totals do not depend on jobs, and the
-    violating reports come by word length, then in lexicographic order.
-    B12 is word-independent, so it runs once per n instead of once per word.
+    Every bound reads only counts that renaming letters leaves unchanged
+    (factors, palindromes, switches, reversal closure, B2's lpps fibre
+    sizes), and renaming commutes with palindromic closure.  So the sweep
+    walks only canonical words and folds each with the size of its letter
+    orbit (see _sweep_below).  Reversal is not folded the same way: the
+    closure of reverse(w) is not the reverse of w's closure.
+
+    Work shards by canonical prefix; merged totals do not depend on jobs,
+    and the violating reports come by word length, then in lexicographic
+    order, as evaluate_word would give them, then the cap applies.  B12 is
+    word-independent, so it runs once per n instead of once per word.
     """
     import time
 
@@ -972,7 +1016,7 @@ def sweep_rich(
         raise ValueError(f"unknown bound ids: {sorted(unknown)}")
     word_bounds = tuple(b for b in ids if b != "B12")
     shards = _sharded(
-        _sweep_below, q, max_len, False, jobs, DEFAULT_SHARD_PREFIX,
+        _sweep_below, q, max_len, True, jobs, DEFAULT_SHARD_PREFIX,
         word_bounds, include_closure, violation_cap,
     )
     per_bound = {b: _new_agg() for b in ids}
@@ -987,14 +1031,20 @@ def sweep_rich(
                 if other is not None:
                     mine = per_bound[b][key]
                     per_bound[b][key] = other if mine is None else pick(mine, other)
-    violating = [
-        r for n in range(max_len + 1) for _, _, by_length in shards
-        for r in by_length.get(n, ())
-    ][:violation_cap]
+    violating: list[BoundReport] = []
+    for n in range(max_len + 1):
+        room = violation_cap - len(violating)
+        # shards come in lexicographic order, so their words do too
+        kept = [c for _, _, by_length in shards for c in by_length.get(n, ())]
+        if kept and room > 0:
+            violating += _violating_reports(
+                kept[:room], q, word_bounds, include_closure, room
+            )
     if "B12" in ids:
         orders = range(1, max(max_len, 1) + 1)
-        rows = _rows(None, [("B12",)], orders, False, None, None)
-        _fold_rows(per_bound, rows, violating, violation_cap)
+        rows = list(_rows(None, [("B12",)], orders, False, None, None))
+        _fold_rows(per_bound, rows, 1)
+        violating += [_report(*row) for row in rows if not row[7]]
     reports = sum(per_bound[b]["reports"] for b in ids)
     violations = sum(per_bound[b]["violations"] for b in ids)
     return SweepSummary(
@@ -1006,6 +1056,6 @@ def sweep_rich(
         reports=reports,
         violations=violations,
         per_bound=per_bound,
-        violating=tuple(violating),
+        violating=tuple(violating[:violation_cap]),
         elapsed_seconds=time.perf_counter() - t0,
     )

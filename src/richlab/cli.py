@@ -412,7 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bounds", help="comma-separated bound ids (default: all)")
     p.add_argument(
-        "--jobs", type=_POSITIVE, default=1, help="worker processes (default 1)"
+        "--jobs",
+        type=_POSITIVE,
+        default=1,
+        help="worker processes, at most one per usable CPU (default 1)",
     )
     p.add_argument(
         "--no-closure",
@@ -434,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"prefix length for parallel sharding (default {DEFAULT_SHARD_PREFIX})",
     )
     p.add_argument(
-        "--jobs", type=_POSITIVE, default=1, help="worker processes (default 1)"
+        "--jobs",
+        type=_POSITIVE,
+        default=1,
+        help="worker processes, at most one per usable CPU (default 1)",
     )
     p.add_argument(
         "--canonical",

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import random
 import re
 import time
 from dataclasses import dataclass
 
 from . import oracle
-from .enumeration import _pool_map
+from .enumeration import _cpus, _pool_map
 from .paltree import PalIndex, defect, is_rich, lpp, lppp, lps, lpps
 from .structures import (
     complete_returns,
@@ -204,7 +203,8 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
         if gm_fast != gm_slow:
             problems.append(_mismatch(w, f"max_switch_count(n={gamma_order})", gm_fast, gm_slow))
 
-    nonempty_pals = [p for p in pal_slow if len(p) > 0]
+    # in chars order: a frozenset's iteration order follows the hash seed
+    nonempty_pals = sorted((p for p in pal_slow if len(p) > 0), key=lambda p: p.chars)
     if nonempty_pals:
         if rng is None:
             chosen = nonempty_pals
@@ -283,14 +283,6 @@ def run_cell(spec: CellSpec, seed: int) -> CellResult:
     for _ in range(spec.count):
         problems.extend(compare_word(_random_word(rng, spec.q, spec.length), rng))
     return CellResult(spec, spec.count, tuple(problems), time.perf_counter() - start)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has affinity masks
-        return os.cpu_count() or 1
 
 
 def run_cells(specs, seed: int) -> list[CellResult]:

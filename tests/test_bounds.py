@@ -10,6 +10,7 @@ import random
 import mpmath
 import pytest
 
+from richlab import bounds
 from richlab.bounds import (
     BOUND_IDS,
     BoundReport,
@@ -33,7 +34,7 @@ from richlab.bounds import (
     sweep_rich,
     word_profile,
 )
-from richlab.enumeration import enumerate_rich
+from richlab.enumeration import _walk, enumerate_rich
 from richlab.structures import (
     cores_with_lpps,
     palindromic_closure,
@@ -694,3 +695,104 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
         summary = sweep_rich(3, 6, ids, include_closure=True, jobs=2, violation_cap=cap)
         _assert_sweep_matches(summary, reference, cap)
 
+    # a log-domain B2 of 1/2 fails on every switch core of length >= 2, and
+    # its detail names the lpps value r in the word itself, not in the
+    # canonical form of the word, which is all the sweep walks
+    b2 = bounds._BOUNDS["B2"]
+    half = bounds._Rhs(None, -1.0, lambda: mpmath.mpf(-1))
+    monkeypatch.setitem(bounds._BOUNDS, "B2", dataclasses.replace(
+        b2, rhs=lambda p, n: half if n >= 2 else b2.rhs(p, n),
+        detail=lambda p, n, lhs, rhs, r: f"r={Word(r, p.q).text!r}: {lhs}",
+    ))
+    ids = ("B2", "B8")
+    reference = _reference_sweep(3, 6, ids, True)
+    details = {r.detail for r in reference[2] if r.bound_id == "B2"}
+    canonical_details = {
+        r.detail for n in range(7) for w in enumerate_rich(3, n, canonical=True)
+        for r in evaluate_word(w, ("B2",)) if not r.holds
+    }
+    assert canonical_details < details
+    # the orbits of different canonical words interleave within the first 7
+    violators = [
+        w for n in range(7) for w in enumerate_rich(3, n)
+        if not all(r.holds for r in evaluate_word(w, ids, include_closure=True))
+    ]
+    forms = [_canonical_form(w) for w in violators[:7]]
+    assert any(forms[i] == forms[k] != forms[j]
+               for i, j, k in itertools.combinations(range(7), 3))
+    for cap in (7, 30, 10**6):
+        for jobs in (1, 2):
+            summary = sweep_rich(3, 6, ids, include_closure=True, jobs=jobs,
+                                 violation_cap=cap)
+            _assert_sweep_matches(summary, reference, cap)
+
+
+def _canonical_form(w):
+    """w renamed so that its letters first occur in the order 0, 1, 2, ..."""
+    names = {}
+    return tuple(names.setdefault(c, len(names)) for c in w)
+
+
+# --- orbit-weighted sweep against the per-word fold ---
+
+
+def _per_word_summary(q, max_len, ids, include_closure, cap=50):
+    """sweep_rich's JSON less the timing, folding every rich word's rows once."""
+    per_bound = {b: bounds._new_agg() for b in ids}
+    word_ids = tuple(b for b in ids if b != "B12")
+    words, by_length = 0, [[] for _ in range(max_len + 1)]
+    cache, memo = {}, {}
+    for symbols, _ in _walk(q, (), max_len, False):
+        words += 1
+        w = Word.from_symbols(symbols, q)
+        rows = list(bounds._word_rows(w, word_ids, None, False, include_closure,
+                                      cache, memo))
+        bounds._fold_rows(per_bound, rows, 1)
+        by_length[len(symbols)] += [bounds._report(*row) for row in rows if not row[7]]
+    violating = [r for reports in by_length for r in reports]
+    if "B12" in ids:
+        orders = range(1, max(max_len, 1) + 1)
+        rows = list(bounds._rows(None, [("B12",)], orders, False, None, None))
+        bounds._fold_rows(per_bound, rows, 1)
+        violating += [bounds._report(*row) for row in rows if not row[7]]
+    return {
+        "q": q,
+        "max_len": max_len,
+        "bound_ids": list(ids),
+        "include_closure": include_closure,
+        "words": words,
+        "reports": sum(agg["reports"] for agg in per_bound.values()),
+        "violations": sum(agg["violations"] for agg in per_bound.values()),
+        "per_bound": per_bound,
+        "violating": [r.to_json_dict() for r in violating[:cap]],
+    }
+
+
+def _exact(obj):
+    """obj with every float spelled out as float.hex."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_exact(v) for v in obj]
+    return obj
+
+
+def _summary_json(summary):
+    d = summary.to_json_dict()
+    d.pop("elapsed_seconds")
+    return _exact(d)
+
+
+@pytest.mark.parametrize("q,max_len", [(2, 12), (3, 8), (4, 5)])
+@pytest.mark.parametrize("include_closure", [True, False])
+def test_orbit_weighted_sweep_equals_the_per_word_fold(
+    monkeypatch, q, max_len, include_closure
+):
+    reference = _exact(_per_word_summary(q, max_len, BOUND_IDS, include_closure))
+    # a shard prefix of 3 makes jobs=2 run the prefix-sharded pool
+    monkeypatch.setattr(bounds, "DEFAULT_SHARD_PREFIX", 3)
+    for jobs in (1, 2):
+        summary = sweep_rich(q, max_len, include_closure=include_closure, jobs=jobs)
+        assert _summary_json(summary) == reference

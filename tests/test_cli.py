@@ -274,6 +274,18 @@ def test_enumerate_canonical(capsys):
     assert [c["count"] for c in json.loads(out)["counts"]] == [1, 1, 2, 4, 8, 16, 32]
 
 
+def test_enumerate_canonical_counts_each_orbit_once(capsys):
+    from richlab.enumeration import enumerate_rich
+
+    argv = ["enumerate", "--q", "3", "--max-len", "7", "--canonical", "--csv"]
+    expected = [f"{n},{sum(1 for _ in enumerate_rich(3, n, canonical=True))}"
+                for n in range(8)]
+    for extra in ([], ["--jobs", "2", "--shard-prefix", "3"]):
+        code, out, _ = run(capsys, argv + extra)
+        assert code == 0
+        assert out.splitlines() == ["n,count"] + expected
+
+
 # ---------------------------------------------------------------- sweep
 
 

@@ -86,6 +86,37 @@ def test_run_cells_in_a_pool_match_the_sequential_run(monkeypatch):
     assert payload(2) == payload(1)
 
 
+def test_sampled_palindromes_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from richlab import crosscheck\n"
+        "seen = []\n"
+        "real = crosscheck.complete_returns\n"
+        "def spy(w, u):\n"
+        "    seen.append(u.text)\n"
+        "    return real(w, u)\n"
+        "crosscheck.complete_returns = spy\n"
+        "assert crosscheck.run_cell(crosscheck.CellSpec(2, 50, 1), seed=1).ok\n"
+        "print(seen)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        outs.add(done.stdout)
+    assert len(outs) == 1
+    assert outs.pop().count("'") == 6  # three palindromes, each quoted
+
+
 def test_exhaustive_check_rejects_a_negative_length():
     with pytest.raises(ValueError, match=">= 0"):
         exhaustive_check(2, -1)

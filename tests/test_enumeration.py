@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
+from richlab import enumeration
 from richlab.cli import main
 from richlab.enumeration import (
     EnumStats,
     _counts_below,
+    _walk,
     count_rich,
     enumerate_rich,
     growth_root,
@@ -137,6 +139,63 @@ def test_parallel_counting_matches_sequential():
     assert count_rich(3, 3, jobs=2, shard_prefix=8) == PI3[3]
 
 
+@pytest.mark.parametrize("q,max_len", [(1, 10), (2, 12), (3, 8), (4, 7), (5, 6)])
+def test_orbit_weighted_counts_equal_a_full_walk(q, max_len):
+    full = [0] * (max_len + 1)
+    for word, _ in _walk(q, (), max_len, False):
+        full[len(word)] += 1
+    for jobs in (1, 2):
+        for shard_prefix in (0, 3, 8):
+            stats = rich_counts(q, max_len, jobs=jobs, shard_prefix=shard_prefix)
+            assert list(stats.counts) == full, (jobs, shard_prefix)
+
+
+def test_walk_reports_the_letters_of_canonical_words():
+    for word, k in _walk(4, (), 6, True):
+        assert k == len(set(word))
+        assert all(c <= max(word[:i], default=-1) + 1 for i, c in enumerate(word))
+    assert {k for _, k in _walk(3, (), 4, False)} == {3}
+
+
+def test_pool_workers_are_capped_by_the_cpus(monkeypatch, capsys):
+    import concurrent.futures
+
+    made = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
+    # shard prefix 4 over two letters: the short words plus 8 canonical prefixes
+    argv = ["enumerate", "--q", "2", "--max-len", "10", "--shard-prefix", "4"]
+    assert main(argv) == 0
+    sequential = capsys.readouterr().out
+    assert made == []
+    assert main(argv + ["--jobs", "100000"]) == 0
+    assert capsys.readouterr().out == sequential
+    assert made == [3]
+    assert main(["sweep", "--q", "2", "--max-len", "9", "--jobs", "100000"]) == 0
+    assert made == [3, 3]
+    # fewer tasks than jobs and CPUs: one worker per task
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 64)
+    assert main(argv + ["--jobs", "100000"]) == 0
+    assert made == [3, 3, 9]
+    capsys.readouterr()
+
+
 def test_deep_walks_do_not_hit_the_recursion_limit(capsys):
     # over one letter every word is rich, so the walk is one long path
     assert count_rich(1, 3000) == 1
@@ -147,8 +206,16 @@ def test_deep_walks_do_not_hit_the_recursion_limit(capsys):
 
 def test_counts_below_rejects_a_non_rich_prefix():
     with pytest.raises(ValueError):
-        _counts_below((3, (0, 1, 2, 0), 6, False))
-    assert _counts_below((3, (0, 1, 2), 4, False)) == (0, 0, 0, 1, 2)
+        _counts_below((3, (0, 1, 2, 0), 6, True))
+    # rows by length, columns by the number of letters a canonical word uses
+    empty = (0, 0, 0, 0)
+    assert _counts_below((3, (0, 1, 2), 4, True)) == (
+        empty, empty, empty, (0, 0, 0, 1), (0, 0, 0, 2),
+    )
+    # 01 -> 010, 011 (two letters) and 012 (three)
+    assert _counts_below((3, (0, 1), 3, True)) == (
+        empty, empty, (0, 0, 1, 0), (0, 0, 2, 1),
+    )
 
 
 def test_growth_root_goldens():
