@@ -9,10 +9,14 @@ logarithm with a high-precision thunk.  A right-hand side that depends only
 on (q, n) is computed once per (q, n) and call.
 
 Every check walks the table as rows.  evaluate_word and the check_*
-wrappers turn each row into a BoundReport with the exact left-hand side;
-sweep_rich folds the rows of every canonical rich word, weighted by the
-size of its letter orbit, straight into per-bound aggregates and builds a
-BoundReport only for a violation (and for B12, which runs once per order).
+wrappers turn each row into a BoundReport with the exact left-hand side.
+sweep_rich walks every canonical rich word, weighted by the size of its
+letter orbit, and folds rows straight into per-bound aggregates, building
+a BoundReport only for a violation (and for B12, which runs once per
+order).  Each table entry names the profile fields it reads, so the sweep
+folds a bound's rows once per distinct (bound, richness, fields) and adds
+up the weights of the words that share them; the sums are exact.  B2,
+keyed on switch cores that seldom repeat, is folded per word.
 
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
@@ -443,6 +447,9 @@ class _Bound:
     closed: bool = False  # needs |w| >= n+1 and F(w,n+1) closed under reversal
     cache_rhs: bool = False  # rhs reads only q and n: computed once per (q, n)
     equality: bool = False  # attach the equality verdict on rich words
+    # the profile fields that lhs, rhs, orders and detail read, besides q,
+    # rich and word; a sweep folds b once per distinct (rich, *reads)
+    reads: tuple[str, ...] = ()
 
 
 def _log_detail(p, n, lhs, rhs, r):
@@ -462,12 +469,14 @@ _TABLE = (
             f"2*{p.sw_at(n)}+{p.pal_at(n - 2)}={rhs} >= {lhs}"
         ),
         min_n=3, domain="B1 needs n > 2",
+        reads=("pal", "sw"),
     ),
     _Bound(
         "B2", "|cores of length n with lpps r| <= q(q-1)",
         lhs=None,
         rhs=lambda p, n: p.q * (p.q - 1),
         detail=lambda p, n, lhs, rhs, r: f"r={Word(r, p.q).text!r}: {lhs} <= {rhs}",
+        reads=("cores",),
     ),
     _Bound(
         "B3", "pal(n) <= (q+1)*n*maxswitch(n)",
@@ -477,6 +486,7 @@ _TABLE = (
             f"({p.q}+1)*{n}*{p.gamma_max_at(n)}={rhs} >= {lhs}"
         ),
         domain="B3 needs n > 0",
+        reads=("pal", "gamma_max"),
     ),
     _Bound(
         "B4", "maxswitch(n) <= q^5*ceil(n/2)^2*maxswitch(ceil(n/2))",
@@ -486,6 +496,7 @@ _TABLE = (
             f"q^5*{(n + 1) // 2}^2*{p.gamma_max_at((n + 1) // 2)}={rhs} >= {lhs}"
         ),
         domain="B4 needs n > 0",
+        reads=("gamma_max",),
     ),
     _Bound(
         "B5", "maxswitch(n) <= (4*q^10*n)^log2(n)",
@@ -493,6 +504,7 @@ _TABLE = (
         rhs=lambda p, n: _power_rhs(1, 1, p.q, n),
         detail=_log_detail,
         domain="B5 needs n > 0", cache_rhs=True,
+        reads=("gamma_max",),
     ),
     _Bound(
         "B6", "pal(n) <= (q+1)*n*(4*q^10*n)^log2(n)",
@@ -500,6 +512,7 @@ _TABLE = (
         rhs=lambda p, n: _power_rhs((p.q + 1) * n, 1, p.q, n),
         detail=_log_detail,
         domain="B6 needs n > 0", cache_rhs=True,
+        reads=("pal",),
     ),
     _Bound(
         "B7", "fac(n) <= (q+1)^2*n^4*(4*q^10*n)^(2*log2(n))",
@@ -507,6 +520,7 @@ _TABLE = (
         rhs=lambda p, n: _power_rhs((p.q + 1) ** 2 * n**4, 2, p.q, n),
         detail=_log_detail,
         domain="B7 needs n > 0", cache_rhs=True,
+        reads=("fac",),
     ),
     _Bound(
         "B8", "pal(n)+pal(n+1) <= fac(n+1)-fac(n)+2 (equality on rich words)",
@@ -517,6 +531,7 @@ _TABLE = (
             f"{p.fac_at(n + 1)}-{p.fac_at(n)}+2"
         ),
         rich=False, closed=True, equality=True,
+        reads=("fac", "pal", "closed"),
     ),
     _Bound(
         "B9", "fac(n) <= 2(n-1)*maxpal(n) - 2(n-1) + q",
@@ -526,6 +541,7 @@ _TABLE = (
             f"{lhs} <= 2*{n - 1}*{p.pal_max_at(n)} - 2*{n - 1} + {p.q} = {rhs}"
         ),
         closed=True,
+        reads=("fac", "pal_max", "closed"),
     ),
     _Bound(
         "B10", "fac(n) <= 2(2n-1)*(q+1)*2n*(8*q^10*n)^log2(2n) - 2(2n-1) + q",
@@ -535,6 +551,7 @@ _TABLE = (
         ),
         detail=_approx_log_detail,
         domain="B10/B11 need n > 0", cache_rhs=True,
+        reads=("fac",),
     ),
     _Bound(
         "B11", "fac(n) <= (q+1)*8*n^2*(8*q^10*n)^log2(2n) + q",
@@ -542,6 +559,7 @@ _TABLE = (
         rhs=lambda p, n: _final_rhs((p.q + 1) * 8 * n**2, p.q, p.q, n),
         detail=_approx_log_detail,
         domain="B10/B11 need n > 0", cache_rhs=True,
+        reads=("fac",),
     ),
     _Bound(
         "B12", "prod_{j<=floor(log2 n)} ceil(n/2^j) <= (2*sqrt(n))^log2(n)",
@@ -889,16 +907,13 @@ class SweepSummary:
         }
 
 
+_COUNTS = ("reports", "passes", "violations", "equalities", "uncovered")
+
+
 def _new_agg() -> dict:
-    return {
-        "reports": 0,
-        "passes": 0,
-        "violations": 0,
-        "equalities": 0,
-        "uncovered": 0,
-        "min_slack_log2": None,
-        "max_slack_log2": None,
-    }
+    agg = dict.fromkeys(_COUNTS, 0)
+    agg["min_slack_log2"] = agg["max_slack_log2"] = None
+    return agg
 
 
 def _fold_rows(agg: dict, rows: Iterable[tuple], weight: int) -> bool:
@@ -933,30 +948,104 @@ def _fold_rows(agg: dict, rows: Iterable[tuple], weight: int) -> bool:
     return violated
 
 
+def _merge(a: dict, counts: Iterable[int], lo, hi, weight: int) -> None:
+    """Add counts (in _COUNTS order) times weight to a, and widen its slack range."""
+    for key, count in zip(_COUNTS, counts):
+        a[key] += weight * count
+    if lo is not None:
+        mine = a["min_slack_log2"]
+        a["min_slack_log2"] = lo if mine is None else min(mine, lo)
+        mine = a["max_slack_log2"]
+        a["max_slack_log2"] = hi if mine is None else max(mine, hi)
+
+
+def _unit(b: _Bound, p: WordProfile, cache: dict, memo: dict) -> tuple:
+    """b's rows on p folded once: (*counts, min slack, max slack, violated)."""
+    agg = {b.bound_id: _new_agg()}
+    violated = _fold_rows(agg, _rows(p, [(b.bound_id,)], None, False, cache, memo), 1)
+    a = agg[b.bound_id]
+    return (*(a[key] for key in _COUNTS), a["min_slack_log2"], a["max_slack_log2"],
+            violated)
+
+
 def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     """sweep_rich's worker for _sharded: fold every canonical extension of a prefix.
 
     Each canonical word stands for its letter orbit, every renaming of its
-    k letters into q, and its rows are folded with that multiplicity,
-    math.perm(q, k).  Returns the number of words so covered, the per-bound
-    aggregates and, by length, the first cap violating canonical words (as
-    symbol tuples).  The rhs cache and the log-domain memo live for this
-    call only.
+    k letters into q, so it carries the weight math.perm(q, k).  Returns the
+    number of words so covered, the per-bound aggregates and, by length,
+    the first cap violating canonical words (as symbol tuples).
+
+    A bound's rows on a word depend only on the word's richness and the
+    profile fields the bound reads (its `reads`; q is fixed and the length
+    is the length of any field), so the rows are built and folded once per
+    distinct signature (bound_id, rich, *fields) into a unit, and each word
+    adds its weight to its signatures' totals.  At the end every unit, its
+    counts times its total, goes into the aggregates.  Counts are integers
+    and the slack range takes min and max over the same values, so the
+    result equals a word-by-word fold exactly; a word violates exactly when
+    one of its units does.  B2 would be keyed on its switch cores, which
+    rarely repeat, so it is folded per word.  A closure's B8/B9 rows are
+    keyed on the closure's own profile, and the closure's units are
+    memoised by its chars: the words that share a closure are all prefixes
+    of it, so closures repeat often, and a repeat skips its word_profile.
+    The rhs cache, the log-domain memo, the units and the closure memo live
+    for this call only.
     """
     q, prefix, max_len, canonical, bound_ids, include_closure, cap = args
+    weights = [math.perm(q, k) for k in range(q + 1)]
+    if not bound_ids:
+        # nothing reads a profile: count the words
+        words = sum(weights[k] for _, k in _walk(q, prefix, max_len, canonical))
+        return words, {}, {}
     agg = {b: _new_agg() for b in bound_ids}
     kept: dict[int, list] = {n: [] for n in range(len(prefix), max_len + 1)}
-    weights = [math.perm(q, k) for k in range(q + 1)]
+    per_word = [("B2",)] if "B2" in bound_ids else []
+    signed = [_BOUNDS[b] for b in bound_ids if b != "B2"]
+    closure_bounds = [
+        _BOUNDS[b] for b in _CLOSURE_GROUP if include_closure and b in bound_ids
+    ]
     words = 0
     cache, memo = {}, {}
+    units: dict[tuple, list] = {}  # signature -> [unit, total weight]
+    closures: dict[str, list] = {}  # closure chars -> its [unit, total] entries
+
+    def entries(p: WordProfile, bs: Sequence[_Bound]) -> list[list]:
+        found = []
+        for b in bs:
+            key = (b.bound_id, p.rich, *[getattr(p, f) for f in b.reads])
+            entry = units.get(key)
+            if entry is None:
+                entry = units[key] = [_unit(b, p, cache, memo), 0]
+            found.append(entry)
+        return found
+
     for symbols, k in _walk(q, prefix, max_len, canonical):
-        words += weights[k]
+        weight = weights[k]
+        words += weight
         w = Word.from_symbols(symbols, q)
-        rows = _word_rows(w, bound_ids, None, False, include_closure, cache, memo)
-        if _fold_rows(agg, rows, weights[k]):
+        p = word_profile(w)
+        violated = _fold_rows(agg, _rows(p, per_word, None, False, cache, memo), weight)
+        found = entries(p, signed)
+        if closure_bounds:
+            # the palindromic closure: w, then the part before lps(w) reversed
+            s = w.chars
+            c = s + s[: len(s) - p.lps_length][::-1]
+            if c != s:
+                cs = closures.get(c)
+                if cs is None:
+                    cs = closures[c] = entries(word_profile(Word(c, q)), closure_bounds)
+                found += cs
+        for entry in found:
+            entry[1] += weight
+            if entry[0][-1]:
+                violated = True
+        if violated:
             violators = kept[len(symbols)]
             if len(violators) < cap:
                 violators.append(tuple(symbols))
+    for key, (unit, total) in units.items():
+        _merge(agg[key[0]], unit[:5], unit[5], unit[6], total)
     return words, agg, kept
 
 
@@ -998,9 +1087,13 @@ def sweep_rich(
     Every bound reads only counts that renaming letters leaves unchanged
     (factors, palindromes, switches, reversal closure, B2's lpps fibre
     sizes), and renaming commutes with palindromic closure.  So the sweep
-    walks only canonical words and folds each with the size of its letter
-    orbit (see _sweep_below).  Reversal is not folded the same way: the
-    closure of reverse(w) is not the reverse of w's closure.
+    walks only canonical words and weights each with the size of its
+    letter orbit.  A bound's rows are folded once per distinct input
+    signature, the fields of the profile it reads, and repeated closures
+    are profiled once (see _sweep_below); the totals equal a word-by-word
+    fold exactly.  Reversal is not folded the same way: the closure of
+    reverse(w) is not the reverse of w's closure.  A sweep with no word
+    bound profiles no word.
 
     Work shards by canonical prefix; merged totals do not depend on jobs,
     and the violating reports come by word length, then in lexicographic
@@ -1024,13 +1117,9 @@ def sweep_rich(
     for w_count, agg, _ in shards:
         words += w_count
         for b in word_bounds:
-            for key in ("reports", "passes", "violations", "equalities", "uncovered"):
-                per_bound[b][key] += agg[b][key]
-            for key, pick in (("min_slack_log2", min), ("max_slack_log2", max)):
-                other = agg[b][key]
-                if other is not None:
-                    mine = per_bound[b][key]
-                    per_bound[b][key] = other if mine is None else pick(mine, other)
+            a = agg[b]
+            counts = (a[key] for key in _COUNTS)
+            _merge(per_bound[b], counts, a["min_slack_log2"], a["max_slack_log2"], 1)
     violating: list[BoundReport] = []
     for n in range(max_len + 1):
         room = violation_cap - len(violating)

@@ -439,6 +439,27 @@ def test_log_decision_escalates_instead_of_guessing():
     assert _decide_log(0, -5.0, lambda: mpmath.mpf(-5))
 
 
+def test_log_decision_escalates_through_both_precisions(monkeypatch):
+    # lhs within 2**-160 of the rhs is left to 1000 bits; a wider gap is
+    # decided at 200
+    precisions = []
+    workprec = mpmath.workprec
+
+    def recording(prec):
+        precisions.append(prec)
+        return workprec(prec)
+
+    monkeypatch.setattr(mpmath, "workprec", recording)
+    k = 300
+    for lhs, verdict in ((2**k - 1, True), (2**k, True), (2**k + 1, False)):
+        precisions.clear()
+        assert _decide_log(lhs, float(k), lambda: mpmath.mpf(k)) is verdict
+        assert precisions == [200, 1000]
+    precisions.clear()
+    assert _decide_log(2**30 + 1, 30.0, lambda: mpmath.mpf(30)) is False
+    assert precisions == [200]
+
+
 # --- reports ---
 
 
@@ -796,3 +817,51 @@ def test_orbit_weighted_sweep_equals_the_per_word_fold(
     for jobs in (1, 2):
         summary = sweep_rich(q, max_len, include_closure=include_closure, jobs=jobs)
         assert _summary_json(summary) == reference
+
+
+# --- the sweep's per-bound signatures ---
+
+
+class _RecordingProfile:
+    """A WordProfile stand-in that records each field read through it."""
+
+    def __init__(self, profile, seen):
+        self._profile, self._seen = profile, seen
+
+    def __getattr__(self, name):
+        accessor = getattr(WordProfile, name, None)
+        if callable(accessor):
+            # run pal_at and the like on the proxy, so their reads count
+            return accessor.__get__(self)
+        self._seen.add(name)
+        return getattr(self._profile, name)
+
+
+def test_bound_reads_declare_every_field_its_rows_read():
+    words = {
+        Word.from_symbols(t, q) for q, max_len in ((2, 8), (3, 6))
+        for n in range(max_len + 1) for t in itertools.product(range(q), repeat=n)
+    }
+    words |= {palindromic_closure(w) for w in words}
+    profiles = [word_profile(w) for w in words]
+    for b in bounds._TABLE:
+        seen = set()
+        for profile in profiles:
+            p = _RecordingProfile(profile, seen)
+            for row in bounds._rows(p, [(b.bound_id,)], None, True, None, None):
+                bounds._report(*row)  # the detail text reads fields too
+        assert seen - {"q", "rich", "word"} == set(b.reads), b.bound_id
+        if b.bound_id != "B12":
+            # a per-length field fixes |w|, so the signature needs no length
+            assert b.reads, b.bound_id
+
+
+@pytest.mark.parametrize("ids", [("B12",), ()])
+def test_sweep_without_word_bounds_profiles_no_word(monkeypatch, ids):
+    reference = _exact(_per_word_summary(2, 8, ids, True))
+
+    def refuse(w):
+        raise AssertionError("profiled a word")
+
+    monkeypatch.setattr(bounds, "word_profile", refuse)
+    assert _summary_json(sweep_rich(2, 8, ids)) == reference
