@@ -3,8 +3,10 @@
 Every factor of a rich word is rich, so the rich words over a fixed
 alphabet form a prefix tree: a branch dies the moment an appended symbol
 fails to create a new palindrome.  One walker, ``_walk``, visits exactly
-the rich prefixes; the incremental index makes each extension test O(1)
-amortized, with pop() rolling the index back on backtrack.  The walk is
+the rich prefixes.  It appends a symbol to an Eertree to descend and pops
+it to backtrack; on the last level it asks Eertree.creates instead, which
+leaves the tree as it is.  A step walks the suffix-link chain, so under
+pops it costs O(|w|) at worst, not O(1) amortized.  The walk is
 iterative (a stack of letter iterators), so its depth is bounded by
 memory, not by Python's recursion limit.
 
@@ -64,9 +66,13 @@ def _walk(
     letters the word uses, and its orbit has math.perm(q, k) words.  Outside
     canonical mode k is always q.  Raises ValueError if the prefix is not
     rich.
+
+    A word of max_len - 1 symbols is not extended in the tree: each of its
+    letters is tested with Eertree.creates, and a rich extension is yielded
+    without an append or a pop.
     """
     tree = Eertree()
-    append, pop = tree.append, tree.pop
+    append, pop, creates = tree.append, tree.pop, tree.creates
     for c in prefix:
         if not append(c):
             raise ValueError(f"prefix {tuple(prefix)} is not rich")
@@ -83,18 +89,24 @@ def _walk(
     letters = [iter(range(min(q, top + 2)))]
     tops = [top]
     while letters:
+        top = tops[-1]
+        if len(word) == max_len - 1:
+            # the last level: this loop uses up the letters, so the one
+            # below goes straight to backtracking
+            for c in letters[-1]:
+                if creates(c):
+                    word.append(c)
+                    yield word, (c if c > top else top) + 1
+                    word.pop()
         for c in letters[-1]:
             if append(c):
                 word.append(c)
-                top = tops[-1]
                 if c > top:
                     top = c
                 yield word, top + 1
-                if len(word) < max_len:
-                    tops.append(top)
-                    letters.append(iter(range(min(q, top + 2))))
-                    break
-                word.pop()
+                tops.append(top)
+                letters.append(iter(range(min(q, top + 2))))
+                break
             pop()
         else:
             letters.pop()

@@ -3,7 +3,14 @@
 The index is built incrementally, one appended symbol at a time; each append
 either creates exactly one new node (a palindrome seen for the first time) or
 none.  Appends can be undone, which is what makes prefix-pruned enumeration
-of rich words cheap: a prefix is extended, tested, and rolled back.
+of rich words cheap: a prefix is extended, tested, and rolled back.  At a
+leaf, creates(c) answers whether appending c would make a new node without
+changing the tree at all.
+
+A run of appends costs amortized O(1) per symbol.  Pops break that
+amortization: an append or a creates test walks the suffix-link chain from
+the longest palindromic suffix, O(|w|) steps at worst (after 0^n, a 1
+walks n + 1 links each time it is appended or tested).
 
 A built PalIndex is an immutable snapshot (plain tuples, dicts, frozensets)
 and can be shared freely; only the mutable Eertree builder is stateful.
@@ -18,7 +25,7 @@ from .words import Word, reverse
 
 
 class Eertree:
-    """Mutable palindromic tree over integer symbols, with append/pop."""
+    """Mutable palindromic tree over integer symbols: append, pop, creates."""
 
     __slots__ = ("_word", "_len", "_link", "_edge", "_end", "_last", "_history")
 
@@ -78,6 +85,20 @@ class Eertree:
         self._last = new_id
         self._history.append((prev_last, True, x, c))
         return True
+
+    def creates(self, c: int) -> bool:
+        """Whether append(c) would create a node; the tree is left unchanged.
+
+        Only the first half of an append runs: the suffix-link walk to the
+        longest palindromic suffix x that c...c wraps, then one edge lookup.
+        """
+        word = self._word
+        # c is pushed for the walk's test at the length -1 root, which
+        # compares the new symbol with itself
+        word.append(c)
+        x = self._extend_from(self._last, len(word) - 1, c)
+        word.pop()
+        return c not in self._edge[x]
 
     def pop(self) -> None:
         """Undo the most recent append."""

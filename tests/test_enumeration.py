@@ -1,5 +1,6 @@
 """Rich-word enumeration: counts, oracle agreement, sharded counting."""
 
+import functools
 import itertools
 
 import pytest
@@ -157,6 +158,47 @@ def test_walk_reports_the_letters_of_canonical_words():
     assert {k for _, k in _walk(3, (), 4, False)} == {3}
 
 
+@functools.lru_cache(maxsize=None)
+def _rich_by_oracle(q, n):
+    """Every word of length n over q letters that the oracle calls rich."""
+    return [
+        w for w in itertools.product(range(q), repeat=n)
+        if oracle_is_rich(Word.from_symbols(w, q))
+    ]
+
+
+def _is_canonical(w):
+    return all(c <= max(w[:i], default=-1) + 1 for i, c in enumerate(w))
+
+
+def _reference_walk(q, prefix, max_len, canonical):
+    """_walk's (word, k) sequence, by filtering every extension of prefix."""
+    found = [
+        w
+        for n in range(len(prefix), max_len + 1)
+        for w in _rich_by_oracle(q, n)
+        if w[: len(prefix)] == prefix and (not canonical or _is_canonical(w))
+    ]
+    # a prefix sorts before its extensions, so sorted order is preorder
+    return [(w, len(set(w)) if canonical else q) for w in sorted(found)]
+
+
+@pytest.mark.parametrize("q,longest", [(1, 7), (2, 7), (3, 7), (4, 5)])
+def test_walk_visits_the_oracle_rich_words_in_preorder(q, longest):
+    for max_len in range(longest + 1):
+        for canonical in (True, False):
+            # the prefixes are the last canonical rich words of their
+            # lengths: empty, one level above the leaves, a leaf, and too long
+            for n in sorted({0, max(max_len - 1, 0), max_len, max_len + 1}):
+                prefix = max(w for w in _rich_by_oracle(q, n) if _is_canonical(w))
+                want = _reference_walk(q, prefix, max_len, canonical)
+                # one word past the reference is enough to fail a walk that
+                # would never end
+                walk = _walk(q, prefix, max_len, canonical)
+                got = [(tuple(w), k) for w, k in itertools.islice(walk, len(want) + 1)]
+                assert got == want, (max_len, canonical, prefix)
+
+
 def test_pool_workers_are_capped_by_the_cpus(monkeypatch, capsys):
     import concurrent.futures
 
@@ -205,8 +247,12 @@ def test_deep_walks_do_not_hit_the_recursion_limit(capsys):
 
 
 def test_counts_below_rejects_a_non_rich_prefix():
-    with pytest.raises(ValueError):
-        _counts_below((3, (0, 1, 2, 0), 6, True))
+    # 0120 makes no new palindrome at its last symbol; the prefix is
+    # longer than, as long as, one short of and two short of max_len
+    for max_len in (3, 4, 5, 6):
+        for canonical in (True, False):
+            with pytest.raises(ValueError):
+                _counts_below((3, (0, 1, 2, 0), max_len, canonical))
     # rows by length, columns by the number of letters a canonical word uses
     empty = (0, 0, 0, 0)
     assert _counts_below((3, (0, 1, 2), 4, True)) == (

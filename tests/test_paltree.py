@@ -39,7 +39,11 @@ def test_append_flags_match_snapshot_index():
     for text in ("0110100", "00110100", "012210", "1100100010011001010"):
         w = W(text)
         tree = Eertree()
-        flags = [tree.append(c) for c in w]
+        flags = []
+        for c in w:
+            made = tree.creates(c)
+            flags.append(tree.append(c))
+            assert made is flags[-1]
         assert tuple(flags) == PalIndex(w).created_flags
         assert sum(flags) == tree.distinct_nonempty
 
@@ -70,6 +74,51 @@ def test_pop_exactly_undoes_node_creation():
     tree.pop()
     # re-appending rediscovers 000 as a fresh node again
     assert tree.append(0) is True
+
+
+def _shape(tree):
+    """Each node's length and its suffix link's length, in node order."""
+    return [
+        (tree.node_length(v), tree.node_length(tree.suffix_link(v)))
+        for v in range(tree.node_count)
+    ]
+
+
+def _state(tree):
+    return len(tree), tree.node_count, tree.last_node(), len(tree._history)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 255])
+def test_creates_agrees_with_append_under_random_appends_and_pops(q):
+    rng = random.Random(1000 + q)
+    # over 255 letters a uniform draw almost never repeats a letter, so the
+    # word is drawn from a few of them; creates is still asked about every one
+    draw = range(q) if q <= 4 else (0, 1, 2, 254)
+    tree = Eertree()
+    word = []
+    for _ in range(300):
+        state = _state(tree)
+        for c in range(q):
+            made = tree.creates(c)
+            assert _state(tree) == state
+            assert tree.append(c) is made, (word, c)
+            tree.pop()
+            assert _state(tree) == state
+        assert tree._word == word
+        fresh = Eertree()
+        for c in word:
+            fresh.append(c)
+        assert _shape(tree) == _shape(fresh)
+        assert tree.last_node() == fresh.last_node()
+        # grow to about 30 symbols, with runs of pops; the words are
+        # mostly not rich
+        if word and rng.random() < (0.3 if len(word) < 30 else 0.7):
+            tree.pop()
+            word.pop()
+        else:
+            c = rng.choice(draw)
+            tree.append(c)
+            word.append(c)
 
 
 # --- snapshot index ---
