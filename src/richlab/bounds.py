@@ -11,12 +11,13 @@ on (q, n) is computed once per (q, n) and call.
 Every check walks the table as rows.  evaluate_word and the check_*
 wrappers turn each row into a BoundReport with the exact left-hand side.
 sweep_rich walks every canonical rich word, weighted by the size of its
-letter orbit, and folds rows straight into per-bound aggregates, building
-a BoundReport only for a violation (and for B12, which runs once per
+letter orbit, and folds rows straight into per-bound units, building a
+BoundReport only for a violation (and for B12, which runs once per
 order).  Each table entry names the profile fields it reads, so the sweep
 folds a bound's rows once per distinct (bound, richness, fields) and adds
-up the weights of the words that share them; the sums are exact.  B2,
-keyed on switch cores that seldom repeat, is folded per word.
+up the weights of the words that share them; the sums are exact.  B2 is
+folded per word: keyed on its switch cores it saved no time and took
+more memory.
 
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
@@ -619,7 +620,6 @@ def _rows(
     ns: Optional[Iterable[int]],
     force: bool,
     cache: Optional[dict],
-    memo: Optional[dict],
 ) -> Iterator[tuple]:
     """One row per report, in report order.
 
@@ -627,9 +627,8 @@ def _rows(
     everything a BoundReport holds, with rhs as the table computed it and r
     the lpps value of a B2 row.  ns=None walks each group's admissible
     orders; an explicit order where a bound does not apply raises.
-    cache keeps (q, n)-only right-hand sides, memo the log-domain decisions
-    by (bound, q, n, lhs); both are pure functions of their keys.  Either may
-    be None where no key repeats, as within one word.
+    cache keeps the (q, n)-only right-hand sides, a pure function of
+    (bound, q, n); it may be None where no key repeats, as within one word.
     """
     q = p.q if p is not None else None
     explicit = ns is not None
@@ -664,13 +663,8 @@ def _rows(
                         holds = lhs <= rhs
                     elif rhs.exact is not None:
                         holds = lhs <= rhs.exact
-                    elif memo is None:
-                        holds = _decide_log(lhs, rhs.log2, rhs.hp)
                     else:
-                        key = (bound_id, q, n, lhs)
-                        holds = memo.get(key)
-                        if holds is None:
-                            holds = memo[key] = _decide_log(lhs, rhs.log2, rhs.hp)
+                        holds = _decide_log(lhs, rhs.log2, rhs.hp)
                     equality = (lhs == rhs) if b.equality and p.rich else None
                     yield b, p, n, r, lhs, rhs, covered, holds, equality
 
@@ -682,7 +676,6 @@ def _word_rows(
     force: bool,
     include_closure: bool,
     cache: Optional[dict],
-    memo: Optional[dict],
 ) -> Iterator[tuple]:
     """The rows of evaluate_word(w, bound_ids, ns, force, include_closure)."""
     profile = word_profile(w)
@@ -692,21 +685,25 @@ def _word_rows(
         groups = [g for g in groups if g]
     else:
         groups = [[b for b in bound_ids if b != "B12"]]
-    parts = [_rows(profile, groups, ns, force, cache, memo)]
+    parts = [_rows(profile, groups, ns, force, cache)]
     if "B12" in bound_ids:
         b12_ns = ns if ns is not None else range(1, max(len(w), 1) + 1)
-        parts.append(_rows(None, [("B12",)], b12_ns, force, cache, memo))
+        parts.append(_rows(None, [("B12",)], b12_ns, force, cache))
     group = [b for b in _CLOSURE_GROUP if b in bound_ids]
     if include_closure and group:
-        # the palindromic closure: w, then the part before lps(w) reversed
-        s = w.chars
-        closure = Word(s + s[: len(s) - profile.lps_length][::-1], profile.q)
-        if closure != w:
+        closure = _closure_chars(profile)
+        if closure != w.chars:
             if ns is not None:
                 ns = [n for n in ns if n < len(closure)]
-            cp = word_profile(closure)
-            parts.append(_rows(cp, [group], ns, force, cache, memo))
+            cp = word_profile(Word(closure, profile.q))
+            parts.append(_rows(cp, [group], ns, force, cache))
     return chain.from_iterable(parts)
+
+
+def _closure_chars(p: WordProfile) -> str:
+    """The palindromic closure of p's word: it, then the part before lps reversed."""
+    s = p.word.chars
+    return s + s[: len(s) - p.lps_length][::-1]
 
 
 def _report(b, p, n, r, lhs, rhs, covered, holds, equality) -> BoundReport:
@@ -739,7 +736,7 @@ def _check(
     """The reports of the given bounds at one explicit order."""
     if w is not None:
         profile = profile or word_profile(w)
-    return list(starmap(_report, _rows(profile, [bound_ids], [n], force, None, None)))
+    return list(starmap(_report, _rows(profile, [bound_ids], [n], force, None)))
 
 
 # ---------------------------------------------------------------- check_*
@@ -870,7 +867,7 @@ def evaluate_word(
     include_closure additionally runs B8/B9 on the palindromic closure,
     whose factor sets are reversal-closed at every order.
     """
-    rows = _word_rows(w, bound_ids, ns, force, include_closure, None, None)
+    rows = _word_rows(w, bound_ids, ns, force, include_closure, None)
     return list(starmap(_report, rows))
 
 
@@ -907,65 +904,40 @@ class SweepSummary:
         }
 
 
-_COUNTS = ("reports", "passes", "violations", "equalities", "uncovered")
+_KEYS = (
+    "reports", "passes", "violations", "equalities", "uncovered",
+    "min_slack_log2", "max_slack_log2",
+)
+_EMPTY = (0, 0, 0, 0, 0, None, None)  # the unit of no rows
 
 
-def _new_agg() -> dict:
-    agg = dict.fromkeys(_COUNTS, 0)
-    agg["min_slack_log2"] = agg["max_slack_log2"] = None
-    return agg
+def _fold(rows: Iterable[tuple]) -> tuple:
+    """One bound's rows folded into a unit: counts and slack range, in _KEYS order.
 
-
-def _fold_rows(agg: dict, rows: Iterable[tuple], weight: int) -> bool:
-    """Fold rows, each standing for weight reports, into the per-bound aggregates.
-
-    Returns whether any row is a violation.
+    A unit violates exactly when its violation count, unit[2], is positive.
     """
-    violated = False
-    for row in rows:
-        b, _, _, _, lhs, rhs, covered, holds, equality = row
-        a = agg[b.bound_id]
-        a["reports"] += weight
+    reports = passes = equalities = uncovered = 0
+    slacks = []
+    for _, _, _, _, lhs, rhs, covered, holds, equality in rows:
+        reports += 1
         if holds:
-            a["passes"] += weight
-        else:
-            a["violations"] += weight
-            violated = True
+            passes += 1
         if equality:
-            a["equalities"] += weight
+            equalities += 1
         if not covered:
-            a["uncovered"] += weight
-        if rhs.__class__ is int:
-            slack = _slack(lhs, rhs, None)
-        else:
-            slack = _slack(lhs, rhs.exact, rhs.log2)
-        if slack is not None:
-            lo, hi = a["min_slack_log2"], a["max_slack_log2"]
-            if lo is None or slack < lo:
-                a["min_slack_log2"] = slack
-            if hi is None or slack > hi:
-                a["max_slack_log2"] = slack
-    return violated
+            uncovered += 1
+        if lhs:
+            exact, log2 = (rhs, None) if rhs.__class__ is int else (rhs.exact, rhs.log2)
+            slacks.append(_slack(lhs, exact, log2))
+    return (reports, passes, reports - passes, equalities, uncovered,
+            min(slacks, default=None), max(slacks, default=None))
 
 
-def _merge(a: dict, counts: Iterable[int], lo, hi, weight: int) -> None:
-    """Add counts (in _COUNTS order) times weight to a, and widen its slack range."""
-    for key, count in zip(_COUNTS, counts):
-        a[key] += weight * count
-    if lo is not None:
-        mine = a["min_slack_log2"]
-        a["min_slack_log2"] = lo if mine is None else min(mine, lo)
-        mine = a["max_slack_log2"]
-        a["max_slack_log2"] = hi if mine is None else max(mine, hi)
-
-
-def _unit(b: _Bound, p: WordProfile, cache: dict, memo: dict) -> tuple:
-    """b's rows on p folded once: (*counts, min slack, max slack, violated)."""
-    agg = {b.bound_id: _new_agg()}
-    violated = _fold_rows(agg, _rows(p, [(b.bound_id,)], None, False, cache, memo), 1)
-    a = agg[b.bound_id]
-    return (*(a[key] for key in _COUNTS), a["min_slack_log2"], a["max_slack_log2"],
-            violated)
+def _merge(a: tuple, b: tuple, weight: int) -> tuple:
+    """Unit a plus weight times unit b's counts, its slack range widened by b's."""
+    ends = [s for s in (a[5], a[6], b[5], b[6]) if s is not None]
+    return (*[x + weight * y for x, y in zip(a[:5], b[:5])],
+            min(ends, default=None), max(ends, default=None))
 
 
 def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
@@ -973,24 +945,24 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
 
     Each canonical word stands for its letter orbit, every renaming of its
     k letters into q, so it carries the weight math.perm(q, k).  Returns the
-    number of words so covered, the per-bound aggregates and, by length,
-    the first cap violating canonical words (as symbol tuples).
+    number of words so covered, one unit per bound and, by length, the
+    first cap violating canonical words (as symbol tuples).
 
     A bound's rows on a word depend only on the word's richness and the
     profile fields the bound reads (its `reads`; q is fixed and the length
-    is the length of any field), so the rows are built and folded once per
-    distinct signature (bound_id, rich, *fields) into a unit, and each word
-    adds its weight to its signatures' totals.  At the end every unit, its
-    counts times its total, goes into the aggregates.  Counts are integers
-    and the slack range takes min and max over the same values, so the
-    result equals a word-by-word fold exactly; a word violates exactly when
-    one of its units does.  B2 would be keyed on its switch cores, which
-    rarely repeat, so it is folded per word.  A closure's B8/B9 rows are
-    keyed on the closure's own profile, and the closure's units are
-    memoised by its chars: the words that share a closure are all prefixes
-    of it, so closures repeat often, and a repeat skips its word_profile.
-    The rhs cache, the log-domain memo, the units and the closure memo live
-    for this call only.
+    is the length of any field), so the rows are folded once per distinct
+    signature (bound_id, rich, *fields) into a unit, and each word adds its
+    weight to its signatures' totals.  At the end every unit, times its
+    total, is merged into its bound's unit.  Counts are integers and the
+    slack range takes min and max over the same values, so the result
+    equals a word-by-word fold exactly; a word violates exactly when one
+    of its units does.  B2 is folded per word: keyed on its switch cores
+    it saved no time and held far more units (README).  A closure's
+    B8/B9 rows are keyed on the closure's own profile, and the closure's
+    units are memoised by its chars: the words that share a closure are
+    all prefixes of it, so closures repeat often, and a repeat skips its
+    word_profile.  The rhs cache, the units and the closure memo live for
+    this call only.
     """
     q, prefix, max_len, canonical, bound_ids, include_closure, cap = args
     weights = [math.perm(q, k) for k in range(q + 1)]
@@ -998,15 +970,15 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
         # nothing reads a profile: count the words
         words = sum(weights[k] for _, k in _walk(q, prefix, max_len, canonical))
         return words, {}, {}
-    agg = {b: _new_agg() for b in bound_ids}
+    agg = dict.fromkeys(bound_ids, _EMPTY)
     kept: dict[int, list] = {n: [] for n in range(len(prefix), max_len + 1)}
-    per_word = [("B2",)] if "B2" in bound_ids else []
+    per_word = "B2" in bound_ids
     signed = [_BOUNDS[b] for b in bound_ids if b != "B2"]
     closure_bounds = [
         _BOUNDS[b] for b in _CLOSURE_GROUP if include_closure and b in bound_ids
     ]
     words = 0
-    cache, memo = {}, {}
+    cache = {}
     units: dict[tuple, list] = {}  # signature -> [unit, total weight]
     closures: dict[str, list] = {}  # closure chars -> its [unit, total] entries
 
@@ -1016,7 +988,8 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
             key = (b.bound_id, p.rich, *[getattr(p, f) for f in b.reads])
             entry = units.get(key)
             if entry is None:
-                entry = units[key] = [_unit(b, p, cache, memo), 0]
+                rows = _rows(p, [(b.bound_id,)], None, False, cache)
+                entry = units[key] = [_fold(rows), 0]
             found.append(entry)
         return found
 
@@ -1025,27 +998,29 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
         words += weight
         w = Word.from_symbols(symbols, q)
         p = word_profile(w)
-        violated = _fold_rows(agg, _rows(p, per_word, None, False, cache, memo), weight)
+        violated = False
+        if per_word:
+            unit = _fold(_rows(p, [("B2",)], None, False, cache))
+            agg["B2"] = _merge(agg["B2"], unit, weight)
+            violated = unit[2] > 0
         found = entries(p, signed)
         if closure_bounds:
-            # the palindromic closure: w, then the part before lps(w) reversed
-            s = w.chars
-            c = s + s[: len(s) - p.lps_length][::-1]
-            if c != s:
+            c = _closure_chars(p)
+            if c != w.chars:
                 cs = closures.get(c)
                 if cs is None:
                     cs = closures[c] = entries(word_profile(Word(c, q)), closure_bounds)
                 found += cs
         for entry in found:
             entry[1] += weight
-            if entry[0][-1]:
+            if entry[0][2]:
                 violated = True
         if violated:
             violators = kept[len(symbols)]
             if len(violators) < cap:
                 violators.append(tuple(symbols))
     for key, (unit, total) in units.items():
-        _merge(agg[key[0]], unit[:5], unit[5], unit[6], total)
+        agg[key[0]] = _merge(agg[key[0]], unit, total)
     return words, agg, kept
 
 
@@ -1064,12 +1039,12 @@ def _violating_reports(
     import heapq
 
     reports: list[BoundReport] = []
-    cache, memo = {}, {}
+    cache = {}
     for symbols in heapq.merge(*(_orbit(c, q) for c in kept)):
         if len(reports) >= cap:
             break
         w = Word.from_symbols(symbols, q)
-        rows = _word_rows(w, bound_ids, None, False, include_closure, cache, memo)
+        rows = _word_rows(w, bound_ids, None, False, include_closure, cache)
         reports.extend(_report(*row) for row in rows if not row[7])
     return reports[:cap]
 
@@ -1088,12 +1063,12 @@ def sweep_rich(
     (factors, palindromes, switches, reversal closure, B2's lpps fibre
     sizes), and renaming commutes with palindromic closure.  So the sweep
     walks only canonical words and weights each with the size of its
-    letter orbit.  A bound's rows are folded once per distinct input
-    signature, the fields of the profile it reads, and repeated closures
-    are profiled once (see _sweep_below); the totals equal a word-by-word
-    fold exactly.  Reversal is not folded the same way: the closure of
-    reverse(w) is not the reverse of w's closure.  A sweep with no word
-    bound profiles no word.
+    letter orbit.  A bound's rows are folded into a unit (counts and slack
+    range) once per distinct input signature, the fields of the profile it
+    reads, and repeated closures are profiled once (see _sweep_below); the
+    merged units equal a word-by-word fold exactly.  Reversal is not folded
+    the same way: the closure of reverse(w) is not the reverse of w's
+    closure.  A sweep with no word bound profiles no word.
 
     Work shards by canonical prefix; merged totals do not depend on jobs,
     and the violating reports come by word length, then in lexicographic
@@ -1103,6 +1078,8 @@ def sweep_rich(
     import time
 
     t0 = time.perf_counter()
+    if q < 1:
+        raise ValueError("alphabet size must be >= 1")
     ids = tuple(b for b in BOUND_IDS if b in set(bound_ids))
     unknown = set(bound_ids) - set(BOUND_IDS)
     if unknown:
@@ -1112,14 +1089,12 @@ def sweep_rich(
         _sweep_below, q, max_len, True, jobs, DEFAULT_SHARD_PREFIX,
         word_bounds, include_closure, violation_cap,
     )
-    per_bound = {b: _new_agg() for b in ids}
+    units = dict.fromkeys(ids, _EMPTY)
     words = 0
     for w_count, agg, _ in shards:
         words += w_count
         for b in word_bounds:
-            a = agg[b]
-            counts = (a[key] for key in _COUNTS)
-            _merge(per_bound[b], counts, a["min_slack_log2"], a["max_slack_log2"], 1)
+            units[b] = _merge(units[b], agg[b], 1)
     violating: list[BoundReport] = []
     for n in range(max_len + 1):
         room = violation_cap - len(violating)
@@ -1131,20 +1106,18 @@ def sweep_rich(
             )
     if "B12" in ids:
         orders = range(1, max(max_len, 1) + 1)
-        rows = list(_rows(None, [("B12",)], orders, False, None, None))
-        _fold_rows(per_bound, rows, 1)
+        rows = list(_rows(None, [("B12",)], orders, False, None))
+        units["B12"] = _fold(rows)
         violating += [_report(*row) for row in rows if not row[7]]
-    reports = sum(per_bound[b]["reports"] for b in ids)
-    violations = sum(per_bound[b]["violations"] for b in ids)
     return SweepSummary(
         q=q,
         max_len=max_len,
         bound_ids=ids,
         include_closure=include_closure,
         words=words,
-        reports=reports,
-        violations=violations,
-        per_bound=per_bound,
+        reports=sum(unit[0] for unit in units.values()),
+        violations=sum(unit[2] for unit in units.values()),
+        per_bound={b: dict(zip(_KEYS, unit)) for b, unit in units.items()},
         violating=tuple(violating[:violation_cap]),
         elapsed_seconds=time.perf_counter() - t0,
     )

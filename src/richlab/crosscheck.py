@@ -297,12 +297,9 @@ def run_cells(specs, seed: int) -> list[CellResult]:
     specs = list(specs)
     for spec in specs:
         check_cell(spec)
-    jobs = min(_cpus(), len(specs))
-    if jobs <= 1:
-        return [run_cell(spec, seed) for spec in specs]
     order = sorted(range(len(specs)), key=lambda i: -specs[i].length * specs[i].count)
     done = _pool_map(
-        functools.partial(run_cell, seed=seed), [specs[i] for i in order], jobs
+        functools.partial(run_cell, seed=seed), [specs[i] for i in order], _cpus()
     )
     by_index = dict(zip(order, done))
     return [by_index[i] for i in range(len(specs))]

@@ -158,16 +158,19 @@ def _cpus() -> int:
 def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
     """[fn(t) for t in tasks], computed in a pool of up to jobs processes.
 
-    The pool has no more processes than tasks or usable CPUs.  Results come
-    back in task order whatever the scheduling; fn and the tasks must
-    pickle.  This is the one process pool of the package.
+    The pool has no more processes than tasks or usable CPUs, and where
+    that leaves one process the tasks run in this one, with no pool.
+    Results come back in task order whatever the scheduling; fn and the
+    tasks must pickle.  This is the one process pool of the package.
     """
-    # imported here, so that a sequential run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     # a forking pool starts all its workers at once: none beyond the tasks,
     # and none beyond the CPUs, where they would only queue
     workers = min(jobs, len(tasks), _cpus())
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # imported here, so that a sequential run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 

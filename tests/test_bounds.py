@@ -598,6 +598,12 @@ def test_sweep_bound_subset_and_closure_toggle():
         sweep_rich(2, 5, bound_ids=("B8", "nope"))
 
 
+@pytest.mark.parametrize("q", [-1, 0])
+def test_sweep_rejects_an_empty_alphabet(q):
+    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+        sweep_rich(q, 3)
+
+
 # --- sweep fold against the reports it stands for ---
 
 
@@ -748,6 +754,42 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
             _assert_sweep_matches(summary, reference, cap)
 
 
+def test_sweep_decides_table_near_ties_at_high_precision(monkeypatch):
+    # B5's rhs as the log-domain constant 2**0 (it reads only n, so B5's
+    # (q, n) rhs cache stays valid): a row with maxswitch(n) = 1 is an exact
+    # tie, which only 1000 bits settle, and holds; one with maxswitch(n) >= 2
+    # violates
+    b5 = bounds._BOUNDS["B5"]
+    one = bounds._Rhs(None, 0.0, lambda: mpmath.mpf(0))
+    monkeypatch.setitem(bounds._BOUNDS, "B5", dataclasses.replace(
+        b5, rhs=lambda p, n: one,
+    ))
+    reports = [
+        r for n in range(7) for w in enumerate_rich(3, n)
+        for r in evaluate_word(w, ("B5",))
+    ]
+    assert {(r.lhs == 1, r.holds) for r in reports} == {(True, True), (False, False)}
+    ids = ("B3", "B5", "B8")
+    reference = _reference_sweep(3, 6, ids, True)
+    assert reference[1]["B5"]["max_slack_log2"] == 0.0
+    precisions = []
+    workprec = mpmath.workprec
+
+    def recording(prec):
+        precisions.append(prec)
+        return workprec(prec)
+
+    monkeypatch.setattr(mpmath, "workprec", recording)
+    # a shard prefix of 3 makes jobs=2 run the prefix-sharded pool
+    monkeypatch.setattr(bounds, "DEFAULT_SHARD_PREFIX", 3)
+    for jobs in (1, 2):
+        precisions.clear()
+        summary = sweep_rich(3, 6, ids, include_closure=True, jobs=jobs)
+        _assert_sweep_matches(summary, reference, cap=50)
+        if jobs == 1:
+            assert {200, 1000} <= set(precisions)
+
+
 def _canonical_form(w):
     """w renamed so that its letters first occur in the order 0, 1, 2, ..."""
     names = {}
@@ -759,23 +801,25 @@ def _canonical_form(w):
 
 def _per_word_summary(q, max_len, ids, include_closure, cap=50):
     """sweep_rich's JSON less the timing, folding every rich word's rows once."""
-    per_bound = {b: bounds._new_agg() for b in ids}
+    units = dict.fromkeys(ids, bounds._EMPTY)
     word_ids = tuple(b for b in ids if b != "B12")
     words, by_length = 0, [[] for _ in range(max_len + 1)]
-    cache, memo = {}, {}
+    cache = {}
     for symbols, _ in _walk(q, (), max_len, False):
         words += 1
         w = Word.from_symbols(symbols, q)
-        rows = list(bounds._word_rows(w, word_ids, None, False, include_closure,
-                                      cache, memo))
-        bounds._fold_rows(per_bound, rows, 1)
+        rows = list(bounds._word_rows(w, word_ids, None, False, include_closure, cache))
+        for b in word_ids:
+            unit = bounds._fold(row for row in rows if row[0].bound_id == b)
+            units[b] = bounds._merge(units[b], unit, 1)
         by_length[len(symbols)] += [bounds._report(*row) for row in rows if not row[7]]
     violating = [r for reports in by_length for r in reports]
     if "B12" in ids:
         orders = range(1, max(max_len, 1) + 1)
-        rows = list(bounds._rows(None, [("B12",)], orders, False, None, None))
-        bounds._fold_rows(per_bound, rows, 1)
+        rows = list(bounds._rows(None, [("B12",)], orders, False, None))
+        units["B12"] = bounds._fold(rows)
         violating += [bounds._report(*row) for row in rows if not row[7]]
+    per_bound = {b: dict(zip(bounds._KEYS, unit)) for b, unit in units.items()}
     return {
         "q": q,
         "max_len": max_len,
@@ -848,7 +892,7 @@ def test_bound_reads_declare_every_field_its_rows_read():
         seen = set()
         for profile in profiles:
             p = _RecordingProfile(profile, seen)
-            for row in bounds._rows(p, [(b.bound_id,)], None, True, None, None):
+            for row in bounds._rows(p, [(b.bound_id,)], None, True, None):
                 bounds._report(*row)  # the detail text reads fields too
         assert seen - {"q", "rich", "word"} == set(b.reads), b.bound_id
         if b.bound_id != "B12":

@@ -410,6 +410,13 @@ def test_out_of_range_integers_are_usage_errors(capsys, argv, flag):
     assert "usage:" in err and f"argument {flag}: must be >=" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "enumerate"])
+def test_empty_alphabet_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, [command, "--q", "-1", "--max-len", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: alphabet size must be >= 1\n"
+
+
 def test_non_integer_flag_keeps_argparse_message(capsys):
     code, _, err = run(capsys, ["switches", "0110", "--n", "x"])
     assert code == 2

@@ -236,6 +236,16 @@ def test_pool_workers_are_capped_by_the_cpus(monkeypatch, capsys):
     assert main(argv + ["--jobs", "100000"]) == 0
     assert made == [3, 3, 9]
     capsys.readouterr()
+    # one usable CPU: the shards run in this process, with no pool
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+    assert main(argv + ["--jobs", "100000"]) == 0
+    assert capsys.readouterr().out == sequential
+    sweep = ["sweep", "--q", "2", "--max-len", "9"]
+    assert main(sweep) == 0
+    sequential = capsys.readouterr().out
+    assert main(sweep + ["--jobs", "100000"]) == 0
+    assert capsys.readouterr().out == sequential
+    assert made == [3, 3, 9]
 
 
 def test_deep_walks_do_not_hit_the_recursion_limit(capsys):
