@@ -13,11 +13,12 @@ wrappers turn each row into a BoundReport with the exact left-hand side.
 sweep_rich walks every canonical rich word, weighted by the size of its
 letter orbit, and folds rows straight into per-bound units, building a
 BoundReport only for a violation (and for B12, which runs once per
-order).  Each table entry names the profile fields it reads, so the sweep
-folds a bound's rows once per distinct (bound, richness, fields) and adds
-up the weights of the words that share them; the sums are exact.  B2 is
-folded per word: keyed on its switch cores it saved no time and took
-more memory.
+order).  It carries the profile down the walk (_CarriedProfile), one
+letter pushed or popped at a time, instead of profiling each word.  Each
+table entry names the profile fields it reads, so the sweep folds a
+bound's rows once per distinct (bound, fields) and adds up the weights
+of the words that share them; the sums are exact.  B2's signature is
+the sorted sizes of its lpps fibres at each n.
 
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
@@ -32,8 +33,9 @@ force=True evaluates anyway and marks the report as not covered.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import accumulate, chain, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
@@ -145,18 +147,22 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class WordProfile:
-    """Per-length statistics of one word, computed by word_profile."""
+    """Per-length statistics of one word, computed by word_profile.
+
+    sw, gamma_max and cores are None in the profile of a closure taken by
+    _CarriedProfile.closure_profile.
+    """
 
     word: Word
     q: int
     rich: bool
     fac: tuple[int, ...]        # fac[n] = |F(w,n)|, 0..|w|
     pal: tuple[int, ...]        # pal[n] = |F_p(w,n)|
-    sw: tuple[int, ...]         # sw[n] = number of length-n switches
-    gamma_max: tuple[int, ...]  # gamma_max[n] = max(1, max sw[i] for i<=n)
+    sw: Optional[tuple[int, ...]]         # sw[n] = number of length-n switches
+    gamma_max: Optional[tuple[int, ...]]  # max(1, max sw[i] for i<=n)
     pal_max: tuple[int, ...]    # pal_max[n] = max pal[j] for j<=n
     closed: tuple[bool, ...]    # closed[n] = F(w,n) stable under reversal
-    cores: tuple[frozenset[str], ...]  # cores[n] = length-n switch cores (chars)
+    cores: Optional[tuple[frozenset[str], ...]]  # length-n switch cores (chars)
     lps_length = None  # |lps(word)|, set by word_profile; not a field
 
     def fac_at(self, n: int) -> int:
@@ -233,15 +239,7 @@ def word_profile(w: Word) -> WordProfile:
     L = len(s)
 
     length, link, nxt = _suffix_automaton(s)
-    delta = [0] * (L + 2)
-    for v in range(1, len(length)):
-        delta[length[link[v]] + 1] += 1
-        delta[length[v] + 1] -= 1
-    fac = [1] + [0] * L
-    run = 0
-    for n in range(1, L + 1):
-        run += delta[n]
-        fac[n] = run
+    fac = _factor_counts(length, link, L)
 
     # matching statistics: ml[j] = longest suffix of reverse(w)[:j+1] in F(w)
     ml = []
@@ -271,26 +269,217 @@ def word_profile(w: Word) -> WordProfile:
     for m, starts in _switch_starts(s).items():
         sw[m] = len({s[i : i + m] for i in starts})
         cores[m - 2] = frozenset(s[i + 1 : i + m - 1] for i in starts)
-
-    gmax = [1] * (L + 1)
-    pmax = [1] * (L + 1)
-    for n in range(1, L + 1):
-        gmax[n] = max(gmax[n - 1], sw[n])
-        pmax[n] = max(pmax[n - 1], pal[n])
     profile = WordProfile(
         word=w,
         q=w.alphabet_size,
         rich=tree.distinct_nonempty == L,
-        fac=tuple(fac),
+        fac=fac,
         pal=tuple(pal),
         sw=tuple(sw),
-        gamma_max=tuple(gmax),
-        pal_max=tuple(pmax),
+        gamma_max=tuple(accumulate(sw, max, initial=1))[1:],
+        pal_max=tuple(accumulate(pal, max)),
         closed=tuple(closed),
         cores=tuple(cores),
     )
     _setattr(profile, "lps_length", tree.node_length(tree.last_node()))
     return profile
+
+
+def _factor_counts(length: list[int], link: list[int], L: int) -> tuple[int, ...]:
+    """fac[n] for n = 0..L: each automaton state adds 1 to each length it stands for."""
+    delta = [0] * (L + 2)
+    for v in range(1, len(length)):
+        delta[length[link[v]] + 1] += 1
+        delta[length[v] + 1] -= 1
+    delta[0] = 1  # the empty factor
+    delta[1] -= 1
+    return tuple(accumulate(delta[: L + 1]))
+
+
+# Each profile field the table reads, as one hashable value built from the
+# arrays of a _CarriedProfile.  B2's rows read the switch cores only
+# through the sizes of their lpps fibres at each n, so its value is the
+# sorted (n, size) pairs, one per fibre.
+_CARRIED = {
+    "fac": lambda s: tuple(s.fac),
+    "pal": lambda s: tuple(s.pal),
+    "sw": lambda s: tuple(s.sw),
+    "gamma_max": lambda s: tuple(accumulate(s.sw, max, initial=1))[1:],
+    "pal_max": lambda s: tuple(accumulate(s.pal, max)),
+    "closed": lambda s: tuple(map(operator.not_, s.unpaired)),
+    "cores": lambda s: tuple(sorted((k[0], size) for k, size in s.fibres.items())),
+}
+
+
+class _CarriedProfile:
+    """The profile of a word that grows and shrinks by its last letter.
+
+    push(c) appends the symbol c and pop() undoes the latest push, so a
+    depth-first walk carries the profile of the word it stands on instead
+    of profiling each word from scratch.  A push changes each field by a
+    small delta:
+
+    - fac: the new factors are the suffixes longer than m, the longest
+      suffix that occurred before; they are found longest first, stopping
+      at the first one already in the factor set.
+    - closed: unpaired[n] counts the length-n factors whose reversal is
+      absent; F(w,n) is reversal-closed exactly when it is 0.
+    - pal: the new Eertree node, if any, has the length of the new lps.
+    - sw: the new switches are a·u·c with u a nonempty palindromic suffix
+      of the old word (its Eertree suffix-link chain), a the letter before
+      u, a != c and |u| + 2 > m.
+    - B2's fibres: lpps(u) of a core u is the suffix link of u's node, so
+      the cores of one fibre share (|u|, link node).
+
+    The factor set holds every nonempty factor as a string, O(|w|^2)
+    characters, so this serves the short words of a sweep; word_profile
+    serves the rest.
+    """
+
+    __slots__ = (
+        "q", "tree", "words", "factors", "fac", "pal", "sw", "unpaired",
+        "switches", "cores", "fibres", "undo",
+    )
+
+    def __init__(self, q: int) -> None:
+        self.q = q
+        self.tree = Eertree()
+        self.words = [""]  # words[i] is the first i letters, packed as chars
+        self.factors: set[str] = set()  # every nonempty factor
+        self.fac, self.pal, self.sw, self.unpaired = [1], [1], [0], [0]
+        self.switches: dict[int, int] = {}  # core node -> its distinct switches
+        self.cores: dict[int, str] = {}  # core node -> its chars
+        self.fibres: dict[tuple, int] = {}  # (|u|, lpps node) -> its cores
+        self.undo: list[tuple] = []  # per push: (m, node created, core nodes)
+
+    def __len__(self) -> int:
+        return len(self.undo)
+
+    def push(self, c: int) -> None:
+        """Append the symbol c."""
+        s = self.words[-1] + chr(c)
+        L = len(s)
+        factors, fac, unpaired, sw = self.factors, self.fac, self.unpaired, self.sw
+        fac.append(0)
+        unpaired.append(0)
+        self.pal.append(0)
+        sw.append(0)
+        m = 0
+        for n in range(L, 0, -1):
+            t = s[L - n :]
+            if t in factors:
+                m = n
+                break
+            factors.add(t)
+            fac[n] += 1
+            r = t[::-1]
+            if r != t:
+                unpaired[n] += -1 if r in factors else 1
+        tree = self.tree
+        length, link = tree.node_length, tree.suffix_link
+        switches = self.switches
+        cores = []
+        x = tree.last_node()
+        n = length(x)
+        if n == L - 1:  # the old word is a palindrome: no letter precedes it
+            x = link(x)
+            n = length(x)
+        while n > 0 and n + 2 > m:
+            if s[L - n - 2] != s[-1]:
+                sw[n + 2] += 1
+                count = switches.get(x, 0)
+                switches[x] = count + 1
+                if not count:
+                    self.cores[x] = s[L - n - 1 : L - 1]
+                    key = (n, link(x))
+                    self.fibres[key] = self.fibres.get(key, 0) + 1
+                cores.append(x)
+            x = link(x)
+            n = length(x)
+        created = tree.append(c)
+        if created:
+            self.pal[length(tree.last_node())] += 1
+        self.undo.append((m, created, cores))
+        self.words.append(s)
+
+    def pop(self) -> None:
+        """Undo the latest push."""
+        m, created, cores = self.undo.pop()
+        s = self.words.pop()
+        tree = self.tree
+        length, link = tree.node_length, tree.suffix_link
+        if created:
+            self.pal[length(tree.last_node())] -= 1
+        tree.pop()
+        switches, sw = self.switches, self.sw
+        for x in cores:
+            n = length(x)
+            sw[n + 2] -= 1
+            count = switches[x] - 1
+            if count:
+                switches[x] = count
+            else:
+                del switches[x]
+                del self.cores[x]
+                key = (n, link(x))
+                if self.fibres[key] == 1:
+                    del self.fibres[key]
+                else:
+                    self.fibres[key] -= 1
+        factors, fac, unpaired = self.factors, self.fac, self.unpaired
+        L = len(s)
+        for n in range(m + 1, L + 1):
+            t = s[L - n :]
+            factors.remove(t)
+            fac[n] -= 1
+            r = t[::-1]
+            if r != t:
+                unpaired[n] += 1 if r in factors else -1
+        fac.pop()
+        unpaired.pop()
+        self.pal.pop()
+        sw.pop()
+
+    def profile(self) -> WordProfile:
+        """The WordProfile of the current word, equal to word_profile's."""
+        s, q, tree = self.words[-1], self.q, self.tree
+        cores = [set() for _ in range(len(s) + 1)]
+        for u in self.cores.values():
+            cores[len(u)].add(u)
+        profile = WordProfile(
+            Word._trusted(s, q), q, tree.distinct_nonempty == len(s),
+            *[_CARRIED[f](self) for f in (
+                "fac", "pal", "sw", "gamma_max", "pal_max", "closed",
+            )],
+            tuple(map(frozenset, cores)),
+        )
+        _setattr(profile, "lps_length", tree.node_length(tree.last_node()))
+        return profile
+
+    def closure_profile(self, c: str) -> WordProfile:
+        """The profile of c, the palindromic closure of the word, less switches.
+
+        pal: the carried Eertree holds the word already, so it is extended
+        by the letters c adds, read and cut back.  closed: the factors of a
+        palindrome are closed under reversal.  fac: the suffix automaton, as
+        in word_profile.  sw, gamma_max and cores are None: a closure's
+        B8/B9 rows read none of them.
+        """
+        tree, q, L = self.tree, self.q, len(c)
+        tail = c[len(self) :]
+        pal = self.pal + [0] * len(tail)
+        for ch in tail:
+            if tree.append(ord(ch)):
+                pal[tree.node_length(tree.last_node())] += 1
+        rich = tree.distinct_nonempty == L
+        for _ in tail:
+            tree.pop()
+        length, link, _ = _suffix_automaton(c)
+        return WordProfile(
+            Word._trusted(c, q), q, rich, _factor_counts(length, link, L),
+            tuple(pal), None, None, tuple(accumulate(pal, max)), (True,) * (L + 1),
+            None,
+        )
 
 
 def _require_rich(profile: WordProfile, force: bool) -> bool:
@@ -691,7 +880,7 @@ def _word_rows(
         parts.append(_rows(None, [("B12",)], b12_ns, force, cache))
     group = [b for b in _CLOSURE_GROUP if b in bound_ids]
     if include_closure and group:
-        closure = _closure_chars(profile)
+        closure = _closure_chars(w.chars, profile.lps_length)
         if closure != w.chars:
             if ns is not None:
                 ns = [n for n in ns if n < len(closure)]
@@ -700,10 +889,9 @@ def _word_rows(
     return chain.from_iterable(parts)
 
 
-def _closure_chars(p: WordProfile) -> str:
-    """The palindromic closure of p's word: it, then the part before lps reversed."""
-    s = p.word.chars
-    return s + s[: len(s) - p.lps_length][::-1]
+def _closure_chars(s: str, lps_length: int) -> str:
+    """The palindromic closure of s: s, then the part before its lps reversed."""
+    return s + s[: len(s) - lps_length][::-1]
 
 
 def _report(b, p, n, r, lhs, rhs, covered, holds, equality) -> BoundReport:
@@ -918,6 +1106,7 @@ def _fold(rows: Iterable[tuple]) -> tuple:
     """
     reports = passes = equalities = uncovered = 0
     slacks = []
+    log2 = math.log2
     for _, _, _, _, lhs, rhs, covered, holds, equality in rows:
         reports += 1
         if holds:
@@ -927,8 +1116,13 @@ def _fold(rows: Iterable[tuple]) -> tuple:
         if not covered:
             uncovered += 1
         if lhs:
-            exact, log2 = (rhs, None) if rhs.__class__ is int else (rhs.exact, rhs.log2)
-            slacks.append(_slack(lhs, exact, log2))
+            # _slack, inlined: a sweep folds every row of a new signature
+            if rhs.__class__ is int:
+                slacks.append(log2(rhs) - log2(lhs))
+            elif rhs.exact is None:
+                slacks.append(rhs.log2 - log2(lhs))
+            else:
+                slacks.append(log2(rhs.exact) - log2(lhs))
     return (reports, passes, reports - passes, equalities, uncovered,
             min(slacks, default=None), max(slacks, default=None))
 
@@ -948,21 +1142,25 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     number of words so covered, one unit per bound and, by length, the
     first cap violating canonical words (as symbol tuples).
 
-    A bound's rows on a word depend only on the word's richness and the
-    profile fields the bound reads (its `reads`; q is fixed and the length
-    is the length of any field), so the rows are folded once per distinct
-    signature (bound_id, rich, *fields) into a unit, and each word adds its
-    weight to its signatures' totals.  At the end every unit, times its
-    total, is merged into its bound's unit.  Counts are integers and the
-    slack range takes min and max over the same values, so the result
-    equals a word-by-word fold exactly; a word violates exactly when one
-    of its units does.  B2 is folded per word: keyed on its switch cores
-    it saved no time and held far more units (README).  A closure's
-    B8/B9 rows are keyed on the closure's own profile, and the closure's
-    units are memoised by its chars: the words that share a closure are
-    all prefixes of it, so closures repeat often, and a repeat skips its
-    word_profile.  The rhs cache, the units and the closure memo live for
-    this call only.
+    A _CarriedProfile follows the walk's preorder: at each word it pops
+    back to the word's parent and pushes the last letter.  A bound's rows
+    on a word depend only on the profile fields the bound reads (its
+    `reads`; q is fixed, every walked word is rich, and the length is the
+    length of any field), so the rows are folded once per distinct
+    signature (bound_id, *fields) into a unit, and each word adds its
+    weight to its signatures' totals.  The signatures are built from the
+    carried arrays, and a WordProfile only for a word with a new one.
+    B2's rows read the cores only through the sizes of their lpps fibres,
+    so its signature is the sorted fibre sizes at each n.  At the end
+    every unit, times its total, is merged into its bound's unit.  Counts
+    are integers and the slack range takes min and max over the same
+    values, so the result equals a word-by-word fold exactly; a word
+    violates exactly when one of its units does.  A closure's B8/B9 rows
+    are keyed on the closure's own profile (see closure_profile), and the
+    closure's units are memoised by its chars: the words that share a
+    closure are all prefixes of it, so closures repeat often, and a repeat
+    skips its profile.  The rhs cache, the units and the closure memo live
+    for this call only.
     """
     q, prefix, max_len, canonical, bound_ids, include_closure, cap = args
     weights = [math.perm(q, k) for k in range(q + 1)]
@@ -970,10 +1168,9 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
         # nothing reads a profile: count the words
         words = sum(weights[k] for _, k in _walk(q, prefix, max_len, canonical))
         return words, {}, {}
-    agg = dict.fromkeys(bound_ids, _EMPTY)
     kept: dict[int, list] = {n: [] for n in range(len(prefix), max_len + 1)}
-    per_word = "B2" in bound_ids
-    signed = [_BOUNDS[b] for b in bound_ids if b != "B2"]
+    signed = [_BOUNDS[b] for b in bound_ids]
+    reads = {f for b in signed for f in b.reads}
     closure_bounds = [
         _BOUNDS[b] for b in _CLOSURE_GROUP if include_closure and b in bound_ids
     ]
@@ -982,43 +1179,52 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     units: dict[tuple, list] = {}  # signature -> [unit, total weight]
     closures: dict[str, list] = {}  # closure chars -> its [unit, total] entries
 
-    def entries(p: WordProfile, bs: Sequence[_Bound]) -> list[list]:
+    def entries(p: Optional[WordProfile], fields, bs: Sequence[_Bound]) -> list[list]:
         found = []
         for b in bs:
-            key = (b.bound_id, p.rich, *[getattr(p, f) for f in b.reads])
+            key = (b.bound_id, *[fields[f] for f in b.reads])
             entry = units.get(key)
             if entry is None:
+                if p is None:
+                    p = state.profile()
                 rows = _rows(p, [(b.bound_id,)], None, False, cache)
                 entry = units[key] = [_fold(rows), 0]
             found.append(entry)
         return found
 
+    state = _CarriedProfile(q)
+    depth = 0
     for symbols, k in _walk(q, prefix, max_len, canonical):
+        # back to the parent of this word, then down to it
+        length = len(symbols)
+        while depth and depth >= length:
+            state.pop()
+            depth -= 1
+        while depth < length:
+            state.push(symbols[depth])
+            depth += 1
         weight = weights[k]
         words += weight
-        w = Word.from_symbols(symbols, q)
-        p = word_profile(w)
-        violated = False
-        if per_word:
-            unit = _fold(_rows(p, [("B2",)], None, False, cache))
-            agg["B2"] = _merge(agg["B2"], unit, weight)
-            violated = unit[2] > 0
-        found = entries(p, signed)
+        found = entries(None, {f: _CARRIED[f](state) for f in reads}, signed)
         if closure_bounds:
-            c = _closure_chars(p)
-            if c != w.chars:
+            s, tree = state.words[-1], state.tree
+            c = _closure_chars(s, tree.node_length(tree.last_node()))
+            if c != s:
                 cs = closures.get(c)
                 if cs is None:
-                    cs = closures[c] = entries(word_profile(Word(c, q)), closure_bounds)
+                    cp = state.closure_profile(c)
+                    cs = closures[c] = entries(cp, vars(cp), closure_bounds)
                 found += cs
+        violated = False
         for entry in found:
             entry[1] += weight
             if entry[0][2]:
                 violated = True
         if violated:
-            violators = kept[len(symbols)]
+            violators = kept[length]
             if len(violators) < cap:
                 violators.append(tuple(symbols))
+    agg = dict.fromkeys(bound_ids, _EMPTY)
     for key, (unit, total) in units.items():
         agg[key[0]] = _merge(agg[key[0]], unit, total)
     return words, agg, kept

@@ -5,7 +5,8 @@ oracle-check.  stdout carries data only (JSON by default, CSV where a
 table is more natural); diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when a bound violation or oracle mismatch was found, 2 on
 usage or parse errors, 3 on any other (internal) error, reported as one
-line on stderr instead of a traceback.
+line on stderr instead of a traceback.  A reader that closes stdout early
+leaves the exit code as it is.
 
 All floating-point values are printed with 12 significant digits so
 reports from different runs diff cleanly.
@@ -14,9 +15,11 @@ reports from different runs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -482,16 +485,39 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
+    # the command's stdout is held back and written once it has its exit
+    # code, so that a reader who stops early cannot change that code
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except (ValueError, OSError) as exc:
         # parse errors (a ValueError) and domain preconditions (richness,
         # closure, limits) are usage errors, as are unreadable files
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:  # a bug, not a verdict: keep exit 1 unambiguous
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    _write_stdout(out.getvalue())
+    return code
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout; a reader that has closed the pipe gets no more.
+
+    Whether a write finds the pipe closed depends on when the reader
+    (`head`, say) quit, so a broken pipe is not an error: the rest of the
+    output is dropped and the exit code stays the command's own.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -39,13 +39,12 @@ DEFAULT_SHARD_PREFIX = 8
 class EnumStats:
     """Per-length rich-word counts.
 
-    Every entry of ``elapsed`` is the wall time of the whole walk, in
-    seconds; the walk does not time lengths separately.
+    ``elapsed`` is the wall time of the whole walk, in seconds.
     """
 
     q: int
     counts: tuple[int, ...]
-    elapsed: tuple[float, ...]
+    elapsed: float
     canonical: bool = False
 
     @property
@@ -243,8 +242,7 @@ def rich_counts(
     for shard in _sharded(_counts_below, q, max_len, True, jobs, shard_prefix):
         for d, row in enumerate(shard):
             counts[d] += sum(c * w for c, w in zip(row, weights))
-    elapsed = time.perf_counter() - start
-    return EnumStats(q, tuple(counts), (elapsed,) * (max_len + 1), canonical)
+    return EnumStats(q, tuple(counts), time.perf_counter() - start, canonical)
 
 
 def growth_root(q: int, n: int, count: Optional[int] = None) -> float:

@@ -9,6 +9,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richlab import bounds
 from richlab.bounds import (
@@ -181,6 +183,74 @@ def test_word_profile_lps_length():
     words += [Word.from_symbols((rng.randrange(q) for _ in range(60)), q) for q in (1, 3, 255)]
     for w in words:
         assert word_profile(w).lps_length == (len(lps(w)) if len(w) else 0)
+
+
+# --- the profile a sweep carries down its walk ---
+
+
+def _assert_carried_matches(state):
+    """state's profile, B2 signature and closure profile against word_profile."""
+    w = Word(state.words[-1], state.q)
+    fast, slow = state.profile(), word_profile(w)
+    for f in dataclasses.fields(WordProfile):
+        assert getattr(fast, f.name) == getattr(slow, f.name), (w, f.name)
+    assert fast.lps_length == slow.lps_length, w
+    sizes = sorted(
+        (n, size) for n in range(len(w) + 1)
+        for size in bounds._lpps_fibers(slow, n).values()
+    )
+    assert bounds._CARRIED["cores"](state) == tuple(sizes), w
+    c = bounds._closure_chars(w.chars, slow.lps_length)
+    fast, slow = state.closure_profile(c), word_profile(Word(c, state.q))
+    for f in ("word", "q", "rich", "fac", "pal", "pal_max", "closed"):
+        assert getattr(fast, f) == getattr(slow, f), (w, f)
+
+
+def test_carried_profile_equals_word_profile_on_canonical_words():
+    # every canonical word, reached as the sweep reaches it: pop back to
+    # the parent of the next word in preorder, then push its last letter
+    for q, max_len in ((2, 14), (3, 9), (4, 6)):
+        state = bounds._CarriedProfile(q)
+        for symbols, _ in _walk(q, (), max_len, True):
+            while len(state) >= max(len(symbols), 1):
+                state.pop()
+            while len(state) < len(symbols):
+                state.push(symbols[len(state)])
+            _assert_carried_matches(state)
+
+
+def _grow_rich(tree, picks, q):
+    """Append to tree, for each pick, the pick-th letter that keeps it rich."""
+    grown = []
+    for pick in picks:
+        letters = [c for c in range(q) if tree.creates(c)]
+        if not letters:
+            break
+        grown.append(letters[pick % len(letters)])
+        tree.append(grown[-1])
+    return grown
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    q=st.integers(1, 5),
+    first=st.lists(st.integers(0, 4), max_size=60),
+    keep=st.integers(0, 60),
+    second=st.lists(st.integers(0, 4), max_size=60),
+)
+def test_carried_profile_follows_random_rich_words(q, first, keep, second):
+    # grow a rich word, cut it back to a prefix and grow another one from
+    # there; the carried profile must match word_profile at both ends
+    state, tree = bounds._CarriedProfile(q), Eertree()
+    for c in _grow_rich(tree, first, q):
+        state.push(c)
+    _assert_carried_matches(state)
+    while len(state) > keep:
+        state.pop()
+        tree.pop()
+    for c in _grow_rich(tree, second, q):
+        state.push(c)
+    _assert_carried_matches(state)
 
 
 # --- B1 ---

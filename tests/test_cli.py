@@ -1,6 +1,9 @@
 """CLI surface: output shapes, exit codes, stdout purity, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -436,6 +439,30 @@ def test_unexpected_error_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, ["closure", "0110"])
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: walker broke\n"
+
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["sweep", "--q", "2", "--max-len", "5"], 0),
+        (["verify", WITNESS, "--bounds", "B9", "--n", "4", "--force"], 1),
+    ],
+)
+def test_a_reader_that_stops_early_keeps_the_exit_code(argv, verdict):
+    # the read end of the pipe is closed before the command writes, so its
+    # stdout is broken for certain; `| head` breaks it only by chance
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "richlab.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == verdict
+    assert "error" not in err and "Traceback" not in err
 
 
 def test_version_matches_pyproject():

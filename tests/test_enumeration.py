@@ -61,7 +61,7 @@ def test_counts_match_frozen_tables():
     stats = rich_counts(2, 16)
     assert stats.counts == PI2
     assert stats.max_len == 16
-    assert len(stats.elapsed) == 17
+    assert isinstance(stats.elapsed, float) and stats.elapsed > 0
 
 
 def test_enumeration_equals_oracle_filter():
