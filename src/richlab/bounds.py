@@ -42,6 +42,7 @@ import mpmath
 
 from .enumeration import DEFAULT_SHARD_PREFIX, _orbit, _sharded, _walk
 from .paltree import Eertree, _lpps_chars
+from .records import from_json_fields, json_fields
 from .structures import _switch_starts
 from .words import Word
 
@@ -111,38 +112,11 @@ class BoundReport:
         return _slack(self.lhs, self.rhs, self.rhs_log2)
 
     def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "word_length": self.word_length,
-            "n": self.n,
-            "q": self.q,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rhs_log2": self.rhs_log2,
-            "rhs_is_log": self.rhs_is_log,
-            "holds": self.holds,
-            "equality": self.equality,
-            "covered": self.covered,
-            "citation": self.citation,
-            "detail": self.detail,
-        }
+        return json_fields(self, ("rhs_log2", "rhs_is_log"))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BoundReport":
-        return cls(
-            bound_id=d["bound_id"],
-            word_length=d["word_length"],
-            n=d["n"],
-            q=d["q"],
-            lhs=d["lhs"],
-            rhs=d["rhs"],
-            rhs_log2=d["rhs_log2"],
-            holds=d["holds"],
-            equality=d["equality"],
-            covered=d["covered"],
-            citation=d["citation"],
-            detail=d["detail"],
-        )
+        return from_json_fields(cls, d)
 
 
 @dataclass(frozen=True)
@@ -786,21 +760,24 @@ def _check_order(b: _Bound, p: Optional[WordProfile], n: int) -> None:
         _require_closed(p, n)
 
 
-def inadmissible_bounds(
-    w: Word, n: int, bound_ids: Sequence[str] = BOUND_IDS
-) -> dict[str, str]:
-    """The bounds that do not apply to w at order n, each with the reason.
+def _admissible(
+    bound_ids: Sequence[str], p: WordProfile, ns: Sequence[int], skipped: dict
+) -> list[str]:
+    """The bounds that apply to p's word at every order in ns.
 
-    Richness is not an order condition, so it is left to the check itself.
+    Each other bound goes into skipped with the reason.  Richness is not an
+    order condition, so it is left to the check itself.
     """
-    profile = word_profile(w)
-    reasons = {}
+    kept = []
     for bound_id in bound_ids:
         try:
-            _check_order(_BOUNDS[bound_id], profile, n)
+            for n in ns:
+                _check_order(_BOUNDS[bound_id], p, n)
         except ValueError as exc:
-            reasons[bound_id] = str(exc)
-    return reasons
+            skipped[bound_id] = str(exc)
+        else:
+            kept.append(bound_id)
+    return kept
 
 
 def _rows(
@@ -865,9 +842,19 @@ def _word_rows(
     force: bool,
     include_closure: bool,
     cache: Optional[dict],
+    skipped: Optional[dict] = None,
 ) -> Iterator[tuple]:
-    """The rows of evaluate_word(w, bound_ids, ns, force, include_closure)."""
+    """The rows of evaluate_word(w, bound_ids, ns, force, include_closure).
+
+    With skipped, a dict, and explicit orders, a bound that does not apply
+    to w at ns is dropped and recorded in skipped with the reason before
+    any row is built, and the closure's B8/B9 run wherever they apply to
+    the closure, whether or not they apply to w.
+    """
     profile = word_profile(w)
+    closure_ids = [b for b in _CLOSURE_GROUP if b in bound_ids]
+    if skipped is not None:
+        bound_ids = _admissible(bound_ids, profile, ns, skipped)
     if ns is None:
         wanted = set(bound_ids)
         groups = [[b for b in g if b in wanted] for g in _WORD_GROUPS]
@@ -878,14 +865,13 @@ def _word_rows(
     if "B12" in bound_ids:
         b12_ns = ns if ns is not None else range(1, max(len(w), 1) + 1)
         parts.append(_rows(None, [("B12",)], b12_ns, force, cache))
-    group = [b for b in _CLOSURE_GROUP if b in bound_ids]
-    if include_closure and group:
+    if include_closure and closure_ids:
         closure = _closure_chars(w.chars, profile.lps_length)
         if closure != w.chars:
-            if ns is not None:
-                ns = [n for n in ns if n < len(closure)]
             cp = word_profile(Word(closure, profile.q))
-            parts.append(_rows(cp, [group], ns, force, cache))
+            if skipped is not None:
+                closure_ids = _admissible(closure_ids, cp, ns, {})
+            parts.append(_rows(cp, [closure_ids], ns, force, cache))
     return chain.from_iterable(parts)
 
 
@@ -1078,18 +1064,7 @@ class SweepSummary:
     elapsed_seconds: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "max_len": self.max_len,
-            "bound_ids": list(self.bound_ids),
-            "include_closure": self.include_closure,
-            "words": self.words,
-            "reports": self.reports,
-            "violations": self.violations,
-            "per_bound": self.per_bound,
-            "violating": [r.to_json_dict() for r in self.violating],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return json_fields(self)
 
 
 _KEYS = (

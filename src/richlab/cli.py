@@ -22,18 +22,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Optional
 
-from .bounds import (
-    BOUND_IDS,
-    evaluate_word,
-    inadmissible_bounds,
-    sweep_rich,
-    word_profile,
-)
+from .bounds import BOUND_IDS, _report, _word_rows, sweep_rich, word_profile
 from .crosscheck import check_cell, exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
+from .records import from_json_fields, json_fields
 from .structures import palindromic_closure, switches
 from .words import Word
 
@@ -84,37 +80,11 @@ class AnalysisReport:
     lppp: Optional[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "alphabet_size": self.alphabet_size,
-            "rich": self.rich,
-            "defect": self.defect,
-            "factor_counts": list(self.factor_counts),
-            "palindromic_counts": list(self.palindromic_counts),
-            "switch_counts": list(self.switch_counts),
-            "max_switch_count": self.max_switch_count,
-            "lps": self.lps,
-            "lpp": self.lpp,
-            "lpps": self.lpps,
-            "lppp": self.lppp,
-        }
+        return json_fields(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(
-            word=d["word"],
-            alphabet_size=d["alphabet_size"],
-            rich=d["rich"],
-            defect=d["defect"],
-            factor_counts=tuple(d["factor_counts"]),
-            palindromic_counts=tuple(d["palindromic_counts"]),
-            switch_counts=tuple(d["switch_counts"]),
-            max_switch_count=d["max_switch_count"],
-            lps=d["lps"],
-            lpp=d["lpp"],
-            lpps=d["lpps"],
-            lppp=d["lppp"],
-        )
+        return from_json_fields(cls, d)
 
 
 def analysis_report(w: Word) -> AnalysisReport:
@@ -185,23 +155,13 @@ def _cmd_verify(args) -> int:
     w = _word_from_args(args)
     ids = _parse_bound_ids(args.bounds)
     ns = None if args.n is None else [args.n]
-    late = []
-    if args.n is not None and args.bounds is None:
-        # with no bounds named, check those that apply at this order
-        skipped = inadmissible_bounds(w, args.n, ids)
-        for bound_id, reason in skipped.items():
-            print(f"skipped {bound_id}: {reason}", file=sys.stderr)
-        ids = tuple(b for b in ids if b not in skipped)
-        if args.with_closure:
-            # B8/B9 skipped on w still run on its closure where they apply
-            closure = palindromic_closure(w)
-            late = [b for b in ("B8", "B9") if b in skipped]
-            late = [b for b in late if b not in inadmissible_bounds(closure, args.n, late)]
-    reports = evaluate_word(
-        w, ids, ns=ns, force=args.force, include_closure=args.with_closure
-    )
-    if late:
-        reports += evaluate_word(closure, late, ns=ns, force=args.force)
+    # with no bounds named, check those that apply at this order; B8/B9
+    # skipped on w still run on its closure where they apply
+    skipped = {} if args.n is not None and args.bounds is None else None
+    rows = _word_rows(w, ids, ns, args.force, args.with_closure, None, skipped)
+    for bound_id, reason in (skipped or {}).items():
+        print(f"skipped {bound_id}: {reason}", file=sys.stderr)
+    reports = list(starmap(_report, rows))
     _emit_json([r.to_json_dict() for r in reports])
     return 0 if all(r.holds for r in reports) else 1
 

@@ -112,137 +112,83 @@ def _sorted_texts(words) -> list[str]:
     return sorted(w.text for w in words)
 
 
-def _mismatch(w: Word, op: str, fast, slow) -> str:
-    return f"{w.text!r}: {op}: fast={fast!r} oracle={slow!r}"
-
-
 def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
     """Compare every fast operation against its oracle on one word.
 
-    Without an RNG every admissible order is exercised; with one, orders
-    and return factors are sampled so that long words stay cheap.
+    Ten comparisons: the palindrome set, is_rich, defect, the lps family
+    (lps, lpp, lpps, lppp), the palindromic closure, switches and
+    switch_pairs at each order, max_switch_count, complete_returns and
+    cores_with_lpps.  Without an RNG every admissible order, palindrome
+    and core is compared; with one, orders, palindromes and cores are
+    sampled so that long words stay cheap, and is_rich, defect and the lps
+    family are read off shared PalIndexes instead of the public wrappers,
+    which run one Eertree per call.
     """
     problems: list[str] = []
-    n_len = len(w)
 
+    def check(op: str, fast, slow, render=lambda x: x, *args) -> None:
+        # op is a str.format template, filled from args on a mismatch only
+        if fast != slow:
+            name = op.format(*args)
+            problems.append(f"{w.text!r}: {name}: fast={render(fast)!r} oracle={render(slow)!r}")
+
+    full = rng is None
+    n_len = len(w)
     idx = PalIndex(w)
-    pal_fast = frozenset(idx.palindromes())
-    pal_slow = oracle.oracle_palindrome_set(w)
-    if pal_fast != pal_slow:
-        problems.append(
-            _mismatch(w, "palindrome set", _sorted_texts(pal_fast), _sorted_texts(pal_slow))
-        )
+    pal_fast, pal_slow = idx.palindromes(), oracle.oracle_palindrome_set(w)
+    check("palindrome set", pal_fast, pal_slow, _sorted_texts)
 
     # oracle_is_rich/oracle_defect are defined through the palindrome set;
-    # reuse the one just computed instead of enumerating it two more times.
-    # Likewise on fuzzed words the fast answers come off the shared index
-    # rather than the public wrappers, which run one Eertree per call.
-    rich_slow = len(pal_slow) == n_len + 1
-    rich_fast = is_rich(w) if rng is None else idx.distinct_count == n_len + 1
-    if rich_fast != rich_slow:
-        problems.append(_mismatch(w, "is_rich", rich_fast, rich_slow))
-    defect_slow = n_len + 1 - len(pal_slow)
-    defect_fast = defect(w) if rng is None else n_len + 1 - idx.distinct_count
-    if defect_fast != defect_slow:
-        problems.append(_mismatch(w, "defect", defect_fast, defect_slow))
-
+    # reuse the one just computed instead of enumerating it two more times
+    check("is_rich", is_rich(w) if full else idx.distinct_count == n_len + 1,
+          len(pal_slow) == n_len + 1)
+    check("defect", defect(w) if full else n_len + 1 - idx.distinct_count,
+          n_len + 1 - len(pal_slow))
     if n_len > 0:
-        if rng is None:
+        if full:
             fast_four = (lps(w), lpp(w), lpps(w), lppp(w))
         else:
-            # the public wrappers run one Eertree per call; on fuzzed words
-            # read the same answers off two shared indexes
             ridx = PalIndex(reverse(w))
             fast_four = (idx.lps_word, ridx.lps_word, idx.lpps_word, ridx.lpps_word)
-        for name, a, slow_fn in zip(
-            ("lps", "lpp", "lpps", "lppp"),
-            fast_four,
-            (oracle.oracle_lps, oracle.oracle_lpp, oracle.oracle_lpps, oracle.oracle_lppp),
-        ):
-            b = slow_fn(w)
-            if a != b:
-                problems.append(_mismatch(w, name, a.text, b.text))
+        slow_fns = (oracle.oracle_lps, oracle.oracle_lpp, oracle.oracle_lpps,
+                    oracle.oracle_lppp)
+        for op, fast, slow_fn in zip(("lps", "lpp", "lpps", "lppp"), fast_four, slow_fns):
+            check(op, fast.text, slow_fn(w).text)
+    check("closure", palindromic_closure(w).text, oracle.oracle_closure(w).text)
 
-    cl_fast, cl_slow = palindromic_closure(w), oracle.oracle_closure(w)
-    if cl_fast != cl_slow:
-        problems.append(_mismatch(w, "closure", cl_fast.text, cl_slow.text))
+    def sample(pool, k: int):
+        return rng.sample(pool, min(k, len(pool)))
 
-    if rng is None or n_len <= _FULL_COMPARE_LEN:
+    if full or n_len <= _FULL_COMPARE_LEN:
         orders = range(1, n_len + 1)
     else:
-        pool = range(3, n_len + 1)
-        orders = sorted(set(rng.sample(pool, min(_SAMPLED_ORDERS, len(pool)))))
+        orders = sorted(sample(range(3, n_len + 1), _SAMPLED_ORDERS))
     for n in orders:
-        g_fast = switches(w, n)
-        g_slow = oracle.oracle_switches(w, n)
-        if frozenset(g_fast) != g_slow:
-            problems.append(
-                _mismatch(
-                    w,
-                    f"switches(n={n})",
-                    sorted(r.word.text for r in g_fast),
-                    sorted(r.word.text for r in g_slow),
-                )
-            )
-        p_fast = switch_pairs(w, n)
-        p_slow = oracle.oracle_switch_pairs(w, n)
-        if frozenset(p_fast) != p_slow:
-            problems.append(
-                _mismatch(
-                    w,
-                    f"switch_pairs(n={n})",
-                    sorted((c.text, a) for c, a in p_fast),
-                    sorted((c.text, a) for c, a in p_slow),
-                )
-            )
+        check("switches(n={})", switches(w, n), oracle.oracle_switches(w, n),
+              lambda recs: sorted(r.word.text for r in recs), n)
+        check("switch_pairs(n={})", switch_pairs(w, n), oracle.oracle_switch_pairs(w, n),
+              lambda pairs: sorted((c.text, a) for c, a in pairs), n)
 
     gamma_order = min(n_len, _GAMMA_MAX_ORDER)
     if gamma_order >= 1:
-        gm_fast = max_switch_count(w, gamma_order)
-        gm_slow = oracle.oracle_max_switch_count(w, gamma_order)
-        if gm_fast != gm_slow:
-            problems.append(_mismatch(w, f"max_switch_count(n={gamma_order})", gm_fast, gm_slow))
+        check(f"max_switch_count(n={gamma_order})", max_switch_count(w, gamma_order),
+              oracle.oracle_max_switch_count(w, gamma_order))
 
     # in chars order: a frozenset's iteration order follows the hash seed
-    nonempty_pals = sorted((p for p in pal_slow if len(p) > 0), key=lambda p: p.chars)
-    if nonempty_pals:
-        if rng is None:
-            chosen = nonempty_pals
-        else:
-            chosen = rng.sample(nonempty_pals, min(3, len(nonempty_pals)))
-        for u in chosen:
-            r_fast = complete_returns(w, u)
-            r_slow = oracle.oracle_complete_returns(w, u)
-            if frozenset(r_fast) != r_slow:
-                problems.append(
-                    _mismatch(
-                        w,
-                        f"complete_returns(u={u.text!r})",
-                        _sorted_texts(r_fast),
-                        _sorted_texts(r_slow),
-                    )
-                )
+    pals = sorted((p for p in pal_slow if len(p) > 0), key=lambda p: p.chars)
+    for u in pals if full else sample(pals, 3):
+        check("complete_returns(u={.text!r})", complete_returns(w, u),
+              oracle.oracle_complete_returns(w, u), _sorted_texts, u)
 
-    if rng is None:
-        core_orders = range(1, max(n_len - 2, 0) + 1)
+    if full:
+        core_orders = range(1, n_len - 1)
     else:
-        pool = range(1, min(n_len - 2, 8) + 1)
-        core_orders = sorted(rng.sample(pool, min(2, len(pool))))
+        core_orders = sorted(sample(range(1, min(n_len - 2, 8) + 1), 2))
     for n in core_orders:
-        seen_r = {lpps(rec.core) for rec in switches(w, n + 2)}
-        seen_r.add(EMPTY)
-        for r in seen_r:
-            c_fast = cores_with_lpps(w, n, r)
-            c_slow = oracle.oracle_cores_with_lpps(w, n, r)
-            if frozenset(c_fast) != c_slow:
-                problems.append(
-                    _mismatch(
-                        w,
-                        f"cores_with_lpps(n={n}, r={r.text!r})",
-                        _sorted_texts(c_fast),
-                        _sorted_texts(c_slow),
-                    )
-                )
+        seen_r = {lpps(rec.core) for rec in switches(w, n + 2)} | {EMPTY}
+        for r in sorted(seen_r, key=lambda r: r.chars):
+            check("cores_with_lpps(n={}, r={.text!r})", cores_with_lpps(w, n, r),
+                  oracle.oracle_cores_with_lpps(w, n, r), _sorted_texts, n, r)
 
     return problems
 
@@ -252,14 +198,14 @@ def exhaustive_check(q: int, max_len: int) -> CellResult:
     if max_len < 0:
         raise ValueError(f"exhaustive length must be >= 0, got {max_len}")
     start = time.perf_counter()
-    problems: list[str] = []
+    mismatches: list[str] = []
     count = 0
     for n in range(max_len + 1):
         for tup in itertools.product(range(q), repeat=n):
             count += 1
-            problems.extend(compare_word(Word.from_symbols(tup, q)))
+            mismatches += compare_word(Word.from_symbols(tup, q))
     spec = CellSpec(q=q, length=max_len, count=count)
-    return CellResult(spec, count, tuple(problems), time.perf_counter() - start)
+    return CellResult(spec, count, tuple(mismatches), time.perf_counter() - start)
 
 
 def _random_word(rng: random.Random, q: int, length: int) -> Word:
@@ -279,10 +225,10 @@ def run_cell(spec: CellSpec, seed: int) -> CellResult:
     check_cell(spec)
     rng = random.Random(f"{seed}:{spec.q}:{spec.length}")
     start = time.perf_counter()
-    problems: list[str] = []
+    mismatches: list[str] = []
     for _ in range(spec.count):
-        problems.extend(compare_word(_random_word(rng, spec.q, spec.length), rng))
-    return CellResult(spec, spec.count, tuple(problems), time.perf_counter() - start)
+        mismatches += compare_word(_random_word(rng, spec.q, spec.length), rng)
+    return CellResult(spec, spec.count, tuple(mismatches), time.perf_counter() - start)
 
 
 def run_cells(specs, seed: int) -> list[CellResult]:

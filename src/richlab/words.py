@@ -20,6 +20,9 @@ MAX_ALPHABET = 255
 DISPLAY_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 _DISPLAY_VALUE = {c: i for i, c in enumerate(DISPLAY_DIGITS)}
+# str.translate table from a packed symbol to its display form
+_DISPLAY_TEXT = {i: DISPLAY_DIGITS[i] if i < len(DISPLAY_DIGITS) else f"<{i}>"
+                 for i in range(MAX_ALPHABET)}
 
 
 class ParseError(ValueError):
@@ -110,10 +113,7 @@ class Word:
     @property
     def text(self) -> str:
         """Display string; symbols beyond the 36 digit/letter glyphs render as <i>."""
-        return "".join(
-            DISPLAY_DIGITS[s] if s < len(DISPLAY_DIGITS) else f"<{s}>"
-            for s in self.symbols
-        )
+        return self.chars.translate(_DISPLAY_TEXT)
 
     def __len__(self) -> int:
         return len(self.chars)

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -528,6 +529,38 @@ def test_log_decision_escalates_through_both_precisions(monkeypatch):
     precisions.clear()
     assert _decide_log(2**30 + 1, 30.0, lambda: mpmath.mpf(30)) is False
     assert precisions == [200]
+
+
+def _table_rhs(bound_id, q, n):
+    # these right-hand sides read nothing of the profile but q
+    return bounds._BOUNDS[bound_id].rhs(SimpleNamespace(q=q), n)
+
+
+@pytest.mark.parametrize("bound_id", ["B5", "B6", "B7", "B10", "B11", "B12"])
+def test_table_high_precision_rhs_matches_its_float(bound_id):
+    # the table's own hp() bodies, which near-tie tests replace and sweeps
+    # seldom reach
+    for q, n in itertools.product(range(1, 5), [*range(1, 41), 64, 100, 1000, 4096, 10**6]):
+        rhs = _table_rhs(bound_id, q, n)
+        with mpmath.workprec(200):
+            hp = rhs.hp()
+            assert float(hp) == pytest.approx(rhs.log2, rel=1e-12, abs=1e-12), (q, n)
+            if rhs.exact is not None:
+                exact_log2 = mpmath.log(mpmath.mpf(rhs.exact), 2)
+                assert abs(hp - exact_log2) <= mpmath.mpf(2) ** -150 * (1 + abs(hp))
+
+
+@pytest.mark.parametrize(
+    "bound_id, q, n", [("B7", 2, 3), ("B11", 2, 6), ("B10", 3, 3), ("B5", 2, 12)]
+)
+def test_table_high_precision_rhs_decides_the_exact_boundary(bound_id, q, n):
+    # lhs = floor(rhs) passes and lhs + 1 fails, both inside the float margin
+    rhs = _table_rhs(bound_id, q, n)
+    assert rhs.exact is None
+    with mpmath.workprec(400):
+        lhs = int(mpmath.floor(mpmath.power(2, rhs.hp())))
+    assert _decide_log(lhs, rhs.log2, rhs.hp)
+    assert not _decide_log(lhs + 1, rhs.log2, rhs.hp)
 
 
 # --- reports ---

@@ -137,6 +137,13 @@ def test_verify_non_rich_without_force_is_usage_error(capsys):
     code, out, err = run(capsys, ["verify", WITNESS, "--bounds", "B1", "--n", "3"])
     assert code == 2 and out == ""
     assert "error:" in err
+    # the bounds skipped at this order are reported before the error
+    code, out, err = run(capsys, ["verify", WITNESS, "--n", "2"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "skipped B1: B1 needs n > 2",
+        f"error: word {WITNESS!r} is not rich; pass force=True to evaluate anyway",
+    ]
 
 
 def test_verify_conflicting_order_flags(capsys):
@@ -210,6 +217,31 @@ def test_verify_order_runs_bounds_skipped_on_the_word_on_its_closure(capsys):
     code, out, err = run(capsys, ["verify", "01", "--n", "3", "--with-closure"])
     assert code == 0
     assert not {"B8", "B9"} & {r["bound_id"] for r in json.loads(out)}
+
+
+@pytest.mark.parametrize(
+    "argv, profiled",
+    [
+        ([W3, "--n", "3"], [W3]),
+        (["01", "--n", "2", "--with-closure"], ["01", "010"]),
+        (["0010", "--n", "4", "--with-closure"], ["0010", "00100"]),
+        ([W3, "--with-closure"], [W3, "110010001001100101001100100010011"]),
+        (["0110", "--n", "2", "--with-closure"], ["0110"]),  # its own closure
+    ],
+)
+def test_verify_profiles_each_word_once(capsys, monkeypatch, argv, profiled):
+    from richlab import bounds
+
+    seen = []
+    real = bounds.word_profile
+
+    def spy(w):
+        seen.append(w.text)
+        return real(w)
+
+    monkeypatch.setattr(bounds, "word_profile", spy)
+    code, _, _ = run(capsys, ["verify", *argv])
+    assert code == 0 and seen == profiled
 
 
 # ---------------------------------------------------------------- parse errors
