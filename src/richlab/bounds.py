@@ -2,23 +2,27 @@
 
 Twelve inequalities (B1..B12) relate palindromic complexity, factor
 complexity, switch counts and reversal closure.  One table, _TABLE, holds
-each bound once: where it applies (orders, richness, reversal closure), its
-left-hand side read from a WordProfile, and its right-hand side, either an
-exact integer or, when the value is astronomically large, its base-2
-logarithm with a high-precision thunk.  A right-hand side that depends only
-on (q, n) is computed once per (q, n) and call.
+each bound once: where it applies (orders, richness, reversal closure), and
+its two sides as columns, lhs(p, ns) and rhs(p, ns), the values at every
+order in ns read straight from a profile's per-length arrays.  A
+right-hand side is an exact integer or, when the value is astronomically
+large, its base-2 logarithm with a high-precision thunk; one that depends
+only on (q, n) is given one order at a time, rhs(p, n), and computed once
+per (q, n) and call.
 
-Every check walks the table as rows.  evaluate_word and the check_*
-wrappers turn each row into a BoundReport with the exact left-hand side.
-sweep_rich walks every canonical rich word, weighted by the size of its
-letter orbit, and folds rows straight into per-bound units, building a
-BoundReport only for a violation (and for B12, which runs once per
-order).  It carries the profile down the walk (_CarriedProfile), one
-letter pushed or popped at a time, instead of profiling each word.  Each
-table entry names the profile fields it reads, so the sweep folds a
-bound's rows once per distinct (bound, fields) and adds up the weights
-of the words that share them; the sums are exact.  B2's signature is
-the sorted sizes of its lpps fibres at each n.
+evaluate_word and the check_* wrappers read the columns off as rows, one
+per report, and turn each into a BoundReport with the exact left-hand
+side; an explicit order past |w| reads the arrays through the *_at
+accessors (_beyond).  sweep_rich walks every canonical rich word,
+weighted by the size of its letter orbit, and folds the columns straight
+into per-bound units (_fold_columns), building no row, and a BoundReport
+only for a violation; B12 reads no word, so it is folded once per sweep.
+It carries the profile down the walk (_CarriedProfile), one letter
+pushed or popped at a time, instead of profiling each word.  Each table
+entry names the profile fields it reads, so the sweep folds a bound once
+per distinct (bound, fields) and adds up the weights of the words that
+share them; the sums are exact.  B2's signature, and its left-hand
+column, is the sorted sizes of its lpps fibres at each n.
 
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
@@ -34,8 +38,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, starmap
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
@@ -312,7 +317,7 @@ class _CarriedProfile:
 
     __slots__ = (
         "q", "tree", "words", "factors", "fac", "pal", "sw", "unpaired",
-        "switches", "cores", "fibres", "undo",
+        "switches", "fibres", "undo",
     )
 
     def __init__(self, q: int) -> None:
@@ -322,7 +327,6 @@ class _CarriedProfile:
         self.factors: set[str] = set()  # every nonempty factor
         self.fac, self.pal, self.sw, self.unpaired = [1], [1], [0], [0]
         self.switches: dict[int, int] = {}  # core node -> its distinct switches
-        self.cores: dict[int, str] = {}  # core node -> its chars
         self.fibres: dict[tuple, int] = {}  # (|u|, lpps node) -> its cores
         self.undo: list[tuple] = []  # per push: (m, node created, core nodes)
 
@@ -364,7 +368,6 @@ class _CarriedProfile:
                 count = switches.get(x, 0)
                 switches[x] = count + 1
                 if not count:
-                    self.cores[x] = s[L - n - 1 : L - 1]
                     key = (n, link(x))
                     self.fibres[key] = self.fibres.get(key, 0) + 1
                 cores.append(x)
@@ -394,7 +397,6 @@ class _CarriedProfile:
                 switches[x] = count
             else:
                 del switches[x]
-                del self.cores[x]
                 key = (n, link(x))
                 if self.fibres[key] == 1:
                     del self.fibres[key]
@@ -413,22 +415,6 @@ class _CarriedProfile:
         unpaired.pop()
         self.pal.pop()
         sw.pop()
-
-    def profile(self) -> WordProfile:
-        """The WordProfile of the current word, equal to word_profile's."""
-        s, q, tree = self.words[-1], self.q, self.tree
-        cores = [set() for _ in range(len(s) + 1)]
-        for u in self.cores.values():
-            cores[len(u)].add(u)
-        profile = WordProfile(
-            Word._trusted(s, q), q, tree.distinct_nonempty == len(s),
-            *[_CARRIED[f](self) for f in (
-                "fac", "pal", "sw", "gamma_max", "pal_max", "closed",
-            )],
-            tuple(map(frozenset, cores)),
-        )
-        _setattr(profile, "lps_length", tree.node_length(tree.last_node()))
-        return profile
 
     def closure_profile(self, c: str) -> WordProfile:
         """The profile of c, the palindromic closure of the word, less switches.
@@ -598,19 +584,27 @@ def _lpps_fibers(profile: WordProfile, n: int) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class _Bound:
-    """One inequality: where it applies, its two sides, and its report text."""
+    """One inequality: where it applies, its two sides, and its report text.
+
+    Both sides come as columns: lhs(p, ns) and rhs(p, ns) list them at each
+    order in ns, read straight from p's per-length arrays.  A right-hand
+    side that reads only q and n (by_order) is given one order at a time,
+    rhs(p, n), and kept per (q, n) instead.
+    """
 
     bound_id: str
     citation: str
-    lhs: Optional[Callable]  # (profile, n) -> int; None for B2's lpps fibers
-    rhs: Callable  # (profile, n) -> int or _Rhs
+    lhs: Optional[Callable]  # (p, ns) -> list[int]; None for B2's lpps fibers
+    rhs: Callable  # (p, ns) -> list[int]; by_order: (p, n) -> int or _Rhs
     detail: Callable  # (profile, n, lhs, rhs, r) -> str
     min_n: int = 1  # smallest admissible order
     domain: Optional[str] = None  # error for an explicit order below min_n
     rich: bool = True  # proved for rich words only
     closed: bool = False  # needs |w| >= n+1 and F(w,n+1) closed under reversal
-    cache_rhs: bool = False  # rhs reads only q and n: computed once per (q, n)
-    equality: bool = False  # attach the equality verdict on rich words
+    by_order: bool = False  # rhs reads only q and n: computed once per (q, n)
+    # attach the equality verdict on rich words; only with a column rhs,
+    # as _fold_columns counts equalities on columns alone
+    equality: bool = False
     # the profile fields that lhs, rhs, orders and detail read, besides q,
     # rich and word; a sweep folds b once per distinct (rich, *reads)
     reads: tuple[str, ...] = ()
@@ -624,13 +618,18 @@ def _approx_log_detail(p, n, lhs, rhs, r):
     return f"log2(rhs)~{rhs.log2:.6g}"
 
 
+# left-hand sides that several bounds share
+_PAL = lambda p, ns: [p.pal[n] for n in ns]  # noqa: E731
+_FAC = lambda p, ns: [p.fac[n] for n in ns]  # noqa: E731
+_GAMMA_MAX = lambda p, ns: [p.gamma_max[n] for n in ns]  # noqa: E731
+
 _TABLE = (
     _Bound(
         "B1", "pal(n) <= 2*switch(n) + pal(n-2)",
-        lhs=lambda p, n: p.pal_at(n),
-        rhs=lambda p, n: 2 * p.sw_at(n) + p.pal_at(n - 2),
+        lhs=_PAL,
+        rhs=lambda p, ns: [2 * p.sw[n] + p.pal[n - 2] for n in ns],
         detail=lambda p, n, lhs, rhs, r: (
-            f"2*{p.sw_at(n)}+{p.pal_at(n - 2)}={rhs} >= {lhs}"
+            f"2*{p.sw[n]}+{p.pal[n - 2]}={rhs} >= {lhs}"
         ),
         min_n=3, domain="B1 needs n > 2",
         reads=("pal", "sw"),
@@ -640,99 +639,102 @@ _TABLE = (
         lhs=None,
         rhs=lambda p, n: p.q * (p.q - 1),
         detail=lambda p, n, lhs, rhs, r: f"r={Word(r, p.q).text!r}: {lhs} <= {rhs}",
+        domain="B2 needs n > 0", by_order=True,
         reads=("cores",),
     ),
     _Bound(
         "B3", "pal(n) <= (q+1)*n*maxswitch(n)",
-        lhs=lambda p, n: p.pal_at(n),
-        rhs=lambda p, n: (p.q + 1) * n * p.gamma_max_at(n),
+        lhs=_PAL,
+        rhs=lambda p, ns: [(p.q + 1) * n * p.gamma_max[n] for n in ns],
         detail=lambda p, n, lhs, rhs, r: (
-            f"({p.q}+1)*{n}*{p.gamma_max_at(n)}={rhs} >= {lhs}"
+            f"({p.q}+1)*{n}*{p.gamma_max[n]}={rhs} >= {lhs}"
         ),
         domain="B3 needs n > 0",
         reads=("pal", "gamma_max"),
     ),
     _Bound(
         "B4", "maxswitch(n) <= q^5*ceil(n/2)^2*maxswitch(ceil(n/2))",
-        lhs=lambda p, n: p.gamma_max_at(n),
-        rhs=lambda p, n: p.q**5 * ((n + 1) // 2) ** 2 * p.gamma_max_at((n + 1) // 2),
+        lhs=_GAMMA_MAX,
+        rhs=lambda p, ns: [
+            p.q**5 * ((n + 1) // 2) ** 2 * p.gamma_max[(n + 1) // 2] for n in ns
+        ],
         detail=lambda p, n, lhs, rhs, r: (
-            f"q^5*{(n + 1) // 2}^2*{p.gamma_max_at((n + 1) // 2)}={rhs} >= {lhs}"
+            f"q^5*{(n + 1) // 2}^2*{p.gamma_max[(n + 1) // 2]}={rhs} >= {lhs}"
         ),
         domain="B4 needs n > 0",
         reads=("gamma_max",),
     ),
     _Bound(
         "B5", "maxswitch(n) <= (4*q^10*n)^log2(n)",
-        lhs=lambda p, n: p.gamma_max_at(n),
+        lhs=_GAMMA_MAX,
         rhs=lambda p, n: _power_rhs(1, 1, p.q, n),
         detail=_log_detail,
-        domain="B5 needs n > 0", cache_rhs=True,
+        domain="B5 needs n > 0", by_order=True,
         reads=("gamma_max",),
     ),
     _Bound(
         "B6", "pal(n) <= (q+1)*n*(4*q^10*n)^log2(n)",
-        lhs=lambda p, n: p.pal_at(n),
+        lhs=_PAL,
         rhs=lambda p, n: _power_rhs((p.q + 1) * n, 1, p.q, n),
         detail=_log_detail,
-        domain="B6 needs n > 0", cache_rhs=True,
+        domain="B6 needs n > 0", by_order=True,
         reads=("pal",),
     ),
     _Bound(
         "B7", "fac(n) <= (q+1)^2*n^4*(4*q^10*n)^(2*log2(n))",
-        lhs=lambda p, n: p.fac_at(n),
+        lhs=_FAC,
         rhs=lambda p, n: _power_rhs((p.q + 1) ** 2 * n**4, 2, p.q, n),
         detail=_log_detail,
-        domain="B7 needs n > 0", cache_rhs=True,
+        domain="B7 needs n > 0", by_order=True,
         reads=("fac",),
     ),
     _Bound(
         "B8", "pal(n)+pal(n+1) <= fac(n+1)-fac(n)+2 (equality on rich words)",
-        lhs=lambda p, n: p.pal_at(n) + p.pal_at(n + 1),
-        rhs=lambda p, n: p.fac_at(n + 1) - p.fac_at(n) + 2,
+        lhs=lambda p, ns: [p.pal[n] + p.pal[n + 1] for n in ns],
+        rhs=lambda p, ns: [p.fac[n + 1] - p.fac[n] + 2 for n in ns],
         detail=lambda p, n, lhs, rhs, r: (
-            f"{p.pal_at(n)}+{p.pal_at(n + 1)} {'=' if lhs == rhs else '<='} "
-            f"{p.fac_at(n + 1)}-{p.fac_at(n)}+2"
+            f"{p.pal[n]}+{p.pal[n + 1]} {'=' if lhs == rhs else '<='} "
+            f"{p.fac[n + 1]}-{p.fac[n]}+2"
         ),
         rich=False, closed=True, equality=True,
         reads=("fac", "pal", "closed"),
     ),
     _Bound(
         "B9", "fac(n) <= 2(n-1)*maxpal(n) - 2(n-1) + q",
-        lhs=lambda p, n: p.fac_at(n),
-        rhs=lambda p, n: 2 * (n - 1) * p.pal_max_at(n) - 2 * (n - 1) + p.q,
+        lhs=_FAC,
+        rhs=lambda p, ns: [2 * (n - 1) * p.pal_max[n] - 2 * (n - 1) + p.q for n in ns],
         detail=lambda p, n, lhs, rhs, r: (
-            f"{lhs} <= 2*{n - 1}*{p.pal_max_at(n)} - 2*{n - 1} + {p.q} = {rhs}"
+            f"{lhs} <= 2*{n - 1}*{p.pal_max[n]} - 2*{n - 1} + {p.q} = {rhs}"
         ),
         closed=True,
         reads=("fac", "pal_max", "closed"),
     ),
     _Bound(
         "B10", "fac(n) <= 2(2n-1)*(q+1)*2n*(8*q^10*n)^log2(2n) - 2(2n-1) + q",
-        lhs=lambda p, n: p.fac_at(n),
+        lhs=_FAC,
         rhs=lambda p, n: _final_rhs(
             2 * (2 * n - 1) * (p.q + 1) * 2 * n, p.q - 2 * (2 * n - 1), p.q, n
         ),
         detail=_approx_log_detail,
-        domain="B10/B11 need n > 0", cache_rhs=True,
+        domain="B10/B11 need n > 0", by_order=True,
         reads=("fac",),
     ),
     _Bound(
         "B11", "fac(n) <= (q+1)*8*n^2*(8*q^10*n)^log2(2n) + q",
-        lhs=lambda p, n: p.fac_at(n),
+        lhs=_FAC,
         rhs=lambda p, n: _final_rhs((p.q + 1) * 8 * n**2, p.q, p.q, n),
         detail=_approx_log_detail,
-        domain="B10/B11 need n > 0", cache_rhs=True,
+        domain="B10/B11 need n > 0", by_order=True,
         reads=("fac",),
     ),
     _Bound(
         "B12", "prod_{j<=floor(log2 n)} ceil(n/2^j) <= (2*sqrt(n))^log2(n)",
-        lhs=lambda p, n: _ceil_product(n),
+        lhs=lambda p, ns: [_ceil_product(n) for n in ns],
         rhs=lambda p, n: _ceil_product_rhs(n),
         detail=lambda p, n, lhs, rhs, r: (
             f"k={n.bit_length() - 1}, lhs={lhs if lhs < 10**24 else 'big'}"
         ),
-        domain="B12 needs n >= 1", rich=False, cache_rhs=True,
+        domain="B12 needs n >= 1", rich=False, by_order=True,
     ),
 )
 _BOUNDS = {b.bound_id: b for b in _TABLE}
@@ -744,11 +746,11 @@ _WORD_GROUPS = tuple((b,) for b in BOUND_IDS[:9]) + (("B10", "B11"),)
 _CLOSURE_GROUP = ("B8", "B9")
 
 
-def _orders(b: _Bound, p: WordProfile) -> Iterable[int]:
-    """Every order at which b applies to the profiled word."""
-    L = len(p.word)
+def _orders(b: _Bound, p, L: int) -> Sequence[int]:
+    """Every order at which b applies to p's word, of length L."""
     if b.closed:
-        return [n for n in range(b.min_n, L) if p.closed[n + 1]]
+        closed = p.closed
+        return [n for n in range(b.min_n, L) if closed[n + 1]]
     return range(b.min_n, L + 1)
 
 
@@ -780,6 +782,33 @@ def _admissible(
     return kept
 
 
+class _AnyOrder:
+    """A per-length array of a profile read at any order, through its accessor."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at: Callable[[int], int]) -> None:
+        self.at = at
+
+    def __getitem__(self, n: int) -> int:
+        return self.at(n)
+
+
+def _beyond(p: WordProfile) -> WordProfile:
+    """p with its per-length arrays read at any order, past |w| too.
+
+    The table's columns and detail text index the arrays directly, which
+    reads the right values at every order up to |w|; this view reads them
+    through the *_at accessors instead, for explicit orders past |w|, at
+    the same cost at any order.
+    """
+    return replace(
+        p, fac=_AnyOrder(p.fac_at), pal=_AnyOrder(p.pal_at),
+        sw=_AnyOrder(p.sw_at), gamma_max=_AnyOrder(p.gamma_max_at),
+        pal_max=_AnyOrder(p.pal_max_at),
+    )
+
+
 def _rows(
     p: Optional[WordProfile],
     groups: Sequence[Sequence[str]],
@@ -792,47 +821,70 @@ def _rows(
     A row is (bound, profile, n, r, lhs, rhs, covered, holds, equality):
     everything a BoundReport holds, with rhs as the table computed it and r
     the lpps value of a B2 row.  ns=None walks each group's admissible
-    orders; an explicit order where a bound does not apply raises.
-    cache keeps the (q, n)-only right-hand sides, a pure function of
-    (bound, q, n); it may be None where no key repeats, as within one word.
+    orders; an explicit order where a bound does not apply raises, before
+    any row of its group.  Each bound's sides are the table's columns over
+    the group's orders, and the rows read them off order by order.  cache
+    keeps the (q, n)-only right-hand sides, a pure function of (bound, q,
+    n); it may be None where no key repeats, as within one word.
     """
     q = p.q if p is not None else None
     explicit = ns is not None
+    if explicit:
+        ns = list(ns)
+        if p is not None and max(ns, default=0) > len(p.word):
+            p = _beyond(p)
     for group in groups:
-        for n in ns if explicit else _orders(_BOUNDS[group[0]], p):
-            for bound_id in group:
-                b = _BOUNDS.get(bound_id)
-                if b is None:
-                    raise ValueError(f"unknown bound {bound_id!r}")
-                if explicit:
+        if explicit:
+            # the errors a row-by-row walk would meet first
+            for n in ns:
+                for bound_id in group:
+                    b = _BOUNDS.get(bound_id)
+                    if b is None:
+                        raise ValueError(f"unknown bound {bound_id!r}")
                     _check_order(b, p, n)
-                if b.lhs is not None:
-                    terms = ((None, b.lhs(p, n)),)
-                else:
-                    # B2 has one report per lpps value; an explicit order
-                    # with no switch cores still reports the empty value
-                    terms = sorted(_lpps_fibers(p, n).items())
-                    if not terms and explicit:
-                        terms = [("", 0)]
-                    if not terms:
-                        continue
+                    if b.rich and not p.rich:
+                        _require_rich(p, force)
+            orders = ns
+        else:
+            orders = _orders(_BOUNDS[group[0]], p, len(p.word))
+        sides = []
+        for bound_id in group:
+            b = _BOUNDS[bound_id]
+            if b.lhs is not None:
+                lhs = b.lhs(p, orders)
+            else:
+                # B2 has one report per lpps value; an explicit order with
+                # no switch cores still reports the empty value
+                lhs = [sorted(_lpps_fibers(p, n).items()) for n in orders]
+                if explicit:
+                    lhs = [terms or [("", 0)] for terms in lhs]
+            # a (q, n)-only right-hand side is computed as its row comes:
+            # holding a whole column of them made long words slower to report
+            sides.append((b, lhs, None if b.by_order else b.rhs(p, orders)))
+        for i, n in enumerate(orders):
+            for b, lhs, rhs in sides:
+                terms = ((None, lhs[i]),) if b.lhs is not None else lhs[i]
+                if not terms:
+                    continue
                 covered = not b.rich or p.rich or _require_rich(p, force)
-                if b.cache_rhs and cache is not None:
-                    key = (bound_id, q, n)
-                    rhs = cache.get(key)
-                    if rhs is None:
-                        rhs = cache[key] = b.rhs(p, n)
+                if rhs is not None:
+                    value = rhs[i]
+                elif cache is None:
+                    value = b.rhs(p, n)
                 else:
-                    rhs = b.rhs(p, n)
-                for r, lhs in terms:
-                    if rhs.__class__ is int:
-                        holds = lhs <= rhs
-                    elif rhs.exact is not None:
-                        holds = lhs <= rhs.exact
+                    key = (b.bound_id, q, n)
+                    value = cache.get(key)
+                    if value is None:
+                        value = cache[key] = b.rhs(p, n)
+                for r, left in terms:
+                    if value.__class__ is int:
+                        holds = left <= value
+                    elif value.exact is not None:
+                        holds = left <= value.exact
                     else:
-                        holds = _decide_log(lhs, rhs.log2, rhs.hp)
-                    equality = (lhs == rhs) if b.equality and p.rich else None
-                    yield b, p, n, r, lhs, rhs, covered, holds, equality
+                        holds = _decide_log(left, value.log2, value.hp)
+                    equality = (left == value) if b.equality and p.rich else None
+                    yield b, p, n, r, left, value, covered, holds, equality
 
 
 def _word_rows(
@@ -927,10 +979,11 @@ def check_upsilon_bound(
     w: Word, n: int, r: Word, force: bool = False,
     profile: Optional[WordProfile] = None,
 ) -> BoundReport:
-    """B2: at most q(q-1) length-n switch cores share one lpps value r."""
+    """B2: at most q(q-1) length-n switch cores share one lpps value r, n > 0."""
     profile = profile or word_profile(w)
-    covered = _require_rich(profile, force)
     b = _BOUNDS["B2"]
+    _check_order(b, profile, n)
+    covered = _require_rich(profile, force)
     lhs = _lpps_fibers(profile, n).get(r.chars, 0)
     rhs = b.rhs(profile, n)
     return _report(b, profile, n, r.chars, lhs, rhs, covered, lhs <= rhs, None)
@@ -1109,6 +1162,82 @@ def _merge(a: tuple, b: tuple, weight: int) -> tuple:
             min(ends, default=None), max(ends, default=None))
 
 
+def _by_order(columns: dict, b: _Bound, p, top: int) -> list:
+    """b's (q, n)-only right-hand sides at orders 0..top, at least.
+
+    Entry n is (exact, rhs, log2): rhs as b.rhs(p, n) gives it, its value
+    when integral (else None) and its base-2 log, so that a slack is one
+    subtraction.  columns keeps one list per bound for one q, grown as
+    longer words arrive; entry 0 is None, as no such bound has order 0.
+    """
+    column = columns.get(b.bound_id)
+    if column is None:
+        column = columns[b.bound_id] = [None]
+    while len(column) <= top:
+        rhs = b.rhs(p, len(column))
+        exact = rhs if rhs.__class__ is int else rhs.exact
+        column.append((exact, rhs, rhs.log2 if exact is None else math.log2(exact)))
+    return column
+
+
+def _fold_columns(b: _Bound, p, L: int, columns: dict) -> tuple:
+    """b's rows on a word of length L folded into a unit, as _fold folds them.
+
+    p holds the fields b reads, the per-length arrays of the word, as
+    WordProfile names them, except that a B2 "cores" is the sorted (n,
+    size) pairs of its lpps fibres; B12 reads none, and p may be None.
+    No row is built: the table gives both sides as columns, and each
+    verdict is the integer comparison or _decide_log that the row would
+    carry.  columns keeps the (q, n)-only right-hand sides (see _by_order).
+    """
+    if b.lhs is not None:
+        ns = _orders(b, p, L)
+        lhs = b.lhs(p, ns)
+    else:
+        ns = [n for n, _ in p.cores]
+        lhs = [size for _, size in p.cores]
+    if not ns:
+        return _EMPTY
+    if b.rich and not p.rich:
+        _require_rich(p, False)
+    log2 = math.log2
+    equalities = 0
+    if b.by_order:
+        column = _by_order(columns, b, p, ns[-1])
+        passes = 0
+        slacks = []
+        for left, n in zip(lhs, ns):
+            exact, rhs, rhs_log2 = column[n]
+            if exact is not None:
+                if left <= exact:
+                    passes += 1
+            elif _decide_log(left, rhs.log2, rhs.hp):
+                passes += 1
+            if left:
+                slacks.append(rhs_log2 - log2(left))
+    else:
+        rhs = b.rhs(p, ns)
+        passes = sum(map(operator.le, lhs, rhs))
+        slacks = [log2(r) - log2(left) for left, r in zip(lhs, rhs) if left]
+        if b.equality and p.rich:
+            equalities = sum(map(operator.eq, lhs, rhs))
+    reports = len(lhs)
+    return (reports, passes, reports - passes, equalities, 0,
+            min(slacks, default=None), max(slacks, default=None))
+
+
+# Once the signature memo of one _sweep_below call holds this many
+# signatures, it is merged into the per-bound units and cleared, with the
+# closure memo.  That bounds the memory of a long unsharded sweep, at the
+# cost of folding again the signatures that recur after a flush (q2 <= 18
+# at jobs=1: 126,958 folds become 313,686).  No shard of the q2 <= 20
+# frontier sweep holds more than 27,082.  The merge is exact, so the
+# result does not depend on the cap.  Running the prefix shards one after
+# another at jobs=1 bounds the memory too, but each shard builds its memo
+# and right-hand side columns anew, which doubled a q2 <= 9 sweep's time.
+_UNITS_CAP = 1 << 16
+
+
 def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     """sweep_rich's worker for _sharded: fold every canonical extension of a prefix.
 
@@ -1122,20 +1251,22 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     on a word depend only on the profile fields the bound reads (its
     `reads`; q is fixed, every walked word is rich, and the length is the
     length of any field), so the rows are folded once per distinct
-    signature (bound_id, *fields) into a unit, and each word adds its
+    signature (bound_id, fields) into a unit, and each word adds its
     weight to its signatures' totals.  The signatures are built from the
-    carried arrays, and a WordProfile only for a word with a new one.
-    B2's rows read the cores only through the sizes of their lpps fibres,
-    so its signature is the sorted fibre sizes at each n.  At the end
-    every unit, times its total, is merged into its bound's unit.  Counts
-    are integers and the slack range takes min and max over the same
-    values, so the result equals a word-by-word fold exactly; a word
-    violates exactly when one of its units does.  A closure's B8/B9 rows
-    are keyed on the closure's own profile (see closure_profile), and the
-    closure's units are memoised by its chars: the words that share a
-    closure are all prefixes of it, so closures repeat often, and a repeat
-    skips its profile.  The rhs cache, the units and the closure memo live
-    for this call only.
+    carried arrays, and a new one is folded from them as columns
+    (_fold_columns), with no row and no WordProfile built.  B2's rows read
+    the cores only through the sizes of their lpps fibres, so its
+    signature is the sorted fibre sizes at each n.  Every unit, times its
+    total, is merged into its bound's unit at the end, or sooner once
+    _UNITS_CAP signatures are held.  Counts are integers and the slack
+    range takes min and max over the same values, so the result equals a
+    word-by-word fold exactly; a word violates exactly when one of its
+    units does.  A closure's B8/B9 rows are keyed on the closure's own
+    profile (see closure_profile), and the closure's units are memoised
+    by its chars: the words that share a closure are all prefixes of it,
+    so closures repeat often, and a repeat skips its profile.  The
+    right-hand side columns, the units and the closure memo live for this
+    call only.
     """
     q, prefix, max_len, canonical, bound_ids, include_closure, cap = args
     weights = [math.perm(q, k) for k in range(q + 1)]
@@ -1146,30 +1277,40 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     kept: dict[int, list] = {n: [] for n in range(len(prefix), max_len + 1)}
     signed = [_BOUNDS[b] for b in bound_ids]
     reads = {f for b in signed for f in b.reads}
+    # the fields of a signature: one value, or a tuple for several reads
+    signing = {b.bound_id: operator.itemgetter(*b.reads) for b in signed}
     closure_bounds = [
         _BOUNDS[b] for b in _CLOSURE_GROUP if include_closure and b in bound_ids
     ]
     words = 0
-    cache = {}
+    columns = {}
+    agg = dict.fromkeys(bound_ids, _EMPTY)
     units: dict[tuple, list] = {}  # signature -> [unit, total weight]
     closures: dict[str, list] = {}  # closure chars -> its [unit, total] entries
 
-    def entries(p: Optional[WordProfile], fields, bs: Sequence[_Bound]) -> list[list]:
+    def entries(p, fields, bs: Sequence[_Bound], L: int) -> list[list]:
         found = []
         for b in bs:
-            key = (b.bound_id, *[fields[f] for f in b.reads])
+            key = (b.bound_id, signing[b.bound_id](fields))
             entry = units.get(key)
             if entry is None:
                 if p is None:
-                    p = state.profile()
-                rows = _rows(p, [(b.bound_id,)], None, False, cache)
-                entry = units[key] = [_fold(rows), 0]
+                    p = SimpleNamespace(q=q, rich=True, **fields)
+                entry = units[key] = [_fold_columns(b, p, L, columns), 0]
             found.append(entry)
         return found
+
+    def flush() -> None:
+        for key, (unit, total) in units.items():
+            agg[key[0]] = _merge(agg[key[0]], unit, total)
+        units.clear()
+        closures.clear()  # its entries are in units
 
     state = _CarriedProfile(q)
     depth = 0
     for symbols, k in _walk(q, prefix, max_len, canonical):
+        if len(units) >= _UNITS_CAP:
+            flush()
         # back to the parent of this word, then down to it
         length = len(symbols)
         while depth and depth >= length:
@@ -1180,7 +1321,7 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
             depth += 1
         weight = weights[k]
         words += weight
-        found = entries(None, {f: _CARRIED[f](state) for f in reads}, signed)
+        found = entries(None, {f: _CARRIED[f](state) for f in reads}, signed, length)
         if closure_bounds:
             s, tree = state.words[-1], state.tree
             c = _closure_chars(s, tree.node_length(tree.last_node()))
@@ -1188,7 +1329,7 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
                 cs = closures.get(c)
                 if cs is None:
                     cp = state.closure_profile(c)
-                    cs = closures[c] = entries(cp, vars(cp), closure_bounds)
+                    cs = closures[c] = entries(cp, vars(cp), closure_bounds, len(c))
                 found += cs
         violated = False
         for entry in found:
@@ -1199,9 +1340,7 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
             violators = kept[length]
             if len(violators) < cap:
                 violators.append(tuple(symbols))
-    agg = dict.fromkeys(bound_ids, _EMPTY)
-    for key, (unit, total) in units.items():
-        agg[key[0]] = _merge(agg[key[0]], unit, total)
+    flush()
     return words, agg, kept
 
 
@@ -1244,10 +1383,11 @@ def sweep_rich(
     (factors, palindromes, switches, reversal closure, B2's lpps fibre
     sizes), and renaming commutes with palindromic closure.  So the sweep
     walks only canonical words and weights each with the size of its
-    letter orbit.  A bound's rows are folded into a unit (counts and slack
-    range) once per distinct input signature, the fields of the profile it
-    reads, and repeated closures are profiled once (see _sweep_below); the
-    merged units equal a word-by-word fold exactly.  Reversal is not folded
+    letter orbit.  A bound is folded into a unit (counts and slack range)
+    once per distinct input signature, the fields of the profile it reads,
+    from its two columns and without building its rows, and repeated
+    closures are profiled once (see _sweep_below); the merged units equal
+    a word-by-word fold exactly.  Reversal is not folded
     the same way: the closure of reverse(w) is not the reverse of w's
     closure.  A sweep with no word bound profiles no word.
 
@@ -1286,10 +1426,11 @@ def sweep_rich(
                 kept[:room], q, word_bounds, include_closure, room
             )
     if "B12" in ids:
-        orders = range(1, max(max_len, 1) + 1)
-        rows = list(_rows(None, [("B12",)], orders, False, None))
-        units["B12"] = _fold(rows)
-        violating += [_report(*row) for row in rows if not row[7]]
+        top = max(max_len, 1)
+        units["B12"] = _fold_columns(_BOUNDS["B12"], None, top, {})
+        if units["B12"][2]:
+            rows = _rows(None, [("B12",)], range(1, top + 1), False, None)
+            violating += [_report(*row) for row in rows if not row[7]]
     return SweepSummary(
         q=q,
         max_len=max_len,

@@ -190,17 +190,15 @@ def test_word_profile_lps_length():
 
 
 def _assert_carried_matches(state):
-    """state's profile, B2 signature and closure profile against word_profile."""
+    """state's signed fields, richness, lps and closure profile against word_profile."""
     w = Word(state.words[-1], state.q)
-    fast, slow = state.profile(), word_profile(w)
-    for f in dataclasses.fields(WordProfile):
-        assert getattr(fast, f.name) == getattr(slow, f.name), (w, f.name)
-    assert fast.lps_length == slow.lps_length, w
-    sizes = sorted(
-        (n, size) for n in range(len(w) + 1)
-        for size in bounds._lpps_fibers(slow, n).values()
-    )
-    assert bounds._CARRIED["cores"](state) == tuple(sizes), w
+    slow = word_profile(w)
+    fields = _signed_fields(slow)
+    for f, carried in bounds._CARRIED.items():
+        assert carried(state) == getattr(fields, f), (w, f)
+    tree = state.tree
+    assert slow.rich and tree.distinct_nonempty == len(w), w
+    assert tree.node_length(tree.last_node()) == slow.lps_length, w
     c = bounds._closure_chars(w.chars, slow.lps_length)
     fast, slow = state.closure_profile(c), word_profile(Word(c, state.q))
     for f in ("word", "q", "rich", "fac", "pal", "pal_max", "closed"):
@@ -335,6 +333,12 @@ def test_b2_reports_match_switch_cores():
         ]
         assert got == want, w
         for n in (-1, 0, 1, 2, len(w) - 2, len(w) + 3):
+            if n <= 0:
+                with pytest.raises(ValueError, match="B2 needs n > 0"):
+                    evaluate_word(w, bound_ids=["B2"], ns=[n])
+                with pytest.raises(ValueError, match="B2 needs n > 0"):
+                    check_upsilon_bound(w, n, W(""))
+                continue
             got = [
                 (r.n, r.lhs, r.rhs, r.detail)
                 for r in evaluate_word(w, bound_ids=["B2"], ns=[n])
@@ -475,6 +479,61 @@ def test_b10_b11_goldens():
     # no closure precondition: n=4 runs even though F(w,5) is not closed
     with pytest.raises(ValueError):
         check_final_bounds(W3, 0)
+
+
+# --- explicit orders past the end of the word ---
+
+
+@pytest.mark.parametrize("text", ["0", "01", "0010", "abaab", "5112211311001131133114"])
+def test_checks_read_orders_past_the_end_of_the_word(text):
+    # past |w| there are no factors, palindromes or switches, and the
+    # running maximum of the switch counts keeps its value at |w|
+    w = W(text)
+    p, q, L = word_profile(w), w.alphabet_size, len(w)
+
+    def at(values, n, past):
+        return values[n] if n <= L else past
+
+    pal, fac, sw = (lambda n, a=a: at(a, n, 0) for a in (p.pal, p.fac, p.sw))
+    gamma = lambda n: at(p.gamma_max, n, p.gamma_max[L])  # noqa: E731
+    # 10**9: an order far past the end costs no more than one just past it
+    for n in (L, L + 1, L + 5, 10**9):
+        h = (n + 1) // 2
+        want = [
+            ("B3", pal(n), (q + 1) * n * gamma(n)),
+            ("B4", gamma(n), q**5 * h**2 * gamma(h)),
+            ("B5", gamma(n), None), ("B6", pal(n), None), ("B7", fac(n), None),
+            ("B10", fac(n), None), ("B11", fac(n), None),
+        ]
+        got = [
+            check_gamma_palindrome_bound(w, n), check_gamma_recursion(w, n),
+            check_gamma_closed_form(w, n), check_palindromic_complexity_bound(w, n),
+            check_factor_complexity_bound(w, n), *check_final_bounds(w, n),
+        ]
+        if n > 2:
+            want.insert(0, ("B1", pal(n), 2 * sw(n) + pal(n - 2)))
+            got.insert(0, check_switch_palindrome_bound(w, n))
+        else:
+            with pytest.raises(ValueError, match="B1 needs n > 2"):
+                check_switch_palindrome_bound(w, n)
+        for (bound_id, lhs, rhs), rep in zip(want, got, strict=True):
+            assert (rep.bound_id, rep.n, rep.lhs) == (bound_id, n, lhs), (w, n)
+            if rhs is None:
+                rhs = _table_rhs(bound_id, q, n)
+                assert (rep.rhs, rep.rhs_log2) == (
+                    (rhs.exact, None) if rhs.exact is not None else (None, rhs.log2)
+                ), (w, n, bound_id)
+            else:
+                assert (rep.rhs, rep.holds) == (rhs, lhs <= rhs), (w, n, bound_id)
+        rep = check_upsilon_bound(w, n, W(""))
+        assert (rep.lhs, rep.rhs, rep.holds) == (0, q * (q - 1), True)
+        with pytest.raises(ValueError, match=f"needs \\|w\\| >= {n + 1}"):
+            check_reversal_inequality(w, n)
+        with pytest.raises(ValueError, match=f"needs \\|w\\| >= {n + 1}"):
+            check_factor_vs_palindrome_bound(w, n)
+        # evaluate_word at one explicit order gives the same reports
+        ids = [rep.bound_id for rep in got]
+        assert evaluate_word(w, ids, ns=[n]) == got
 
 
 # --- B12 ---
@@ -798,7 +857,7 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
     # a log-domain B10 of 2**(n/2) fails wherever fac(n) > 2**(n/2).
     b8, b10 = bounds._BOUNDS["B8"], bounds._BOUNDS["B10"]
     monkeypatch.setitem(bounds._BOUNDS, "B8", dataclasses.replace(
-        b8, rhs=lambda p, n: max(1, b8.rhs(p, n) - 1),
+        b8, rhs=lambda p, ns: [max(1, rhs - 1) for rhs in b8.rhs(p, ns)],
     ))
     monkeypatch.setitem(bounds._BOUNDS, "B10", dataclasses.replace(
         b10, rhs=lambda p, n: bounds._Rhs(None, n / 2, lambda: mpmath.mpf(n) / 2),
@@ -855,6 +914,19 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
             summary = sweep_rich(3, 6, ids, include_closure=True, jobs=jobs,
                                  violation_cap=cap)
             _assert_sweep_matches(summary, reference, cap)
+
+    # a log-domain B12 of 2**(n/4) fails at n = 3, 5 and 6 and ties at 4;
+    # the sweep folds B12 from its columns and builds its rows only
+    # because one fails
+    b12 = bounds._BOUNDS["B12"]
+    monkeypatch.setitem(bounds._BOUNDS, "B12", dataclasses.replace(
+        b12, rhs=lambda p, n: bounds._Rhs(None, n / 4, lambda: mpmath.mpf(n) / 4),
+    ))
+    ids = ("B9", "B12")
+    reference = _reference_sweep(3, 6, ids, True)
+    assert [r.n for r in reference[2]] == [3, 5, 6]
+    for cap in (2, 10**6):
+        _assert_sweep_matches(sweep_rich(3, 6, ids, violation_cap=cap), reference, cap)
 
 
 def test_sweep_decides_table_near_ties_at_high_precision(monkeypatch):
@@ -966,6 +1038,44 @@ def test_orbit_weighted_sweep_equals_the_per_word_fold(
         assert _summary_json(summary) == reference
 
 
+@pytest.mark.parametrize("q,max_len", [(2, 10), (3, 6)])
+def test_sweep_that_flushes_its_memo_equals_the_per_word_fold(monkeypatch, q, max_len):
+    # a memo of at most ten signatures is merged and cleared many times
+    reference = _exact(_per_word_summary(q, max_len, BOUND_IDS, True))
+    monkeypatch.setattr(bounds, "_UNITS_CAP", 10)
+    assert _summary_json(sweep_rich(q, max_len)) == reference
+
+
+# --- the sweep's column fold against the rows it stands for ---
+
+
+@pytest.mark.parametrize("q,max_len", [(2, 12), (3, 8), (4, 5)])
+def test_column_fold_equals_the_row_fold(q, max_len):
+    # every canonical word, each bound folded from the columns the sweep
+    # reads and from the rows evaluate_word reports; then B8/B9 on the
+    # word's palindromic closure
+    columns = {}
+    for symbols, _ in _walk(q, (), max_len, True):
+        w = Word.from_symbols(symbols, q)
+        profile = word_profile(w)
+        fields = _signed_fields(profile)
+        closure = word_profile(palindromic_closure(w))
+        for b in bounds._TABLE[:-1]:
+            for p, f in ((profile, fields), (closure, closure)):
+                if p is closure and b.bound_id not in bounds._CLOSURE_GROUP:
+                    continue
+                rows = bounds._rows(p, [(b.bound_id,)], None, False, None)
+                want = _exact(bounds._fold(rows))
+                assert _exact(bounds._fold_columns(b, f, len(p.word), columns)) == want, (
+                    w, b.bound_id, p is closure
+                )
+    # B12 reads no word: the sweep folds it once, over orders 1..max_len
+    b12 = bounds._BOUNDS["B12"]
+    for top in range(1, 70):
+        rows = bounds._rows(None, [("B12",)], range(1, top + 1), False, None)
+        assert bounds._fold_columns(b12, None, top, columns) == bounds._fold(rows), top
+
+
 # --- the sweep's per-bound signatures ---
 
 
@@ -984,6 +1094,16 @@ class _RecordingProfile:
         return getattr(self._profile, name)
 
 
+def _signed_fields(profile):
+    """The fields of profile as a sweep signs them: B2's cores as fibre sizes."""
+    pairs = sorted(
+        (n, size) for n in range(len(profile.word) + 1)
+        for size in bounds._lpps_fibers(profile, n).values()
+    )
+    fields = {f.name: getattr(profile, f.name) for f in dataclasses.fields(WordProfile)}
+    return SimpleNamespace(**{**fields, "cores": tuple(pairs)})
+
+
 def test_bound_reads_declare_every_field_its_rows_read():
     words = {
         Word.from_symbols(t, q) for q, max_len in ((2, 8), (3, 6))
@@ -992,13 +1112,18 @@ def test_bound_reads_declare_every_field_its_rows_read():
     words |= {palindromic_closure(w) for w in words}
     profiles = [word_profile(w) for w in words]
     for b in bounds._TABLE:
-        seen = set()
+        seen, folded = set(), set()
         for profile in profiles:
             p = _RecordingProfile(profile, seen)
             for row in bounds._rows(p, [(b.bound_id,)], None, True, None):
                 bounds._report(*row)  # the detail text reads fields too
+            if b.bound_id != "B12" and (profile.rich or not b.rich):
+                # the sweep's fold reads its columns from the same fields
+                p = _RecordingProfile(_signed_fields(profile), folded)
+                bounds._fold_columns(b, p, len(profile.word), {})
         assert seen - {"q", "rich", "word"} == set(b.reads), b.bound_id
         if b.bound_id != "B12":
+            assert folded - {"q", "rich"} == set(b.reads), b.bound_id
             # a per-length field fixes |w|, so the signature needs no length
             assert b.reads, b.bound_id
 

@@ -198,6 +198,17 @@ def test_verify_named_bound_at_inadmissible_order_is_usage_error(capsys):
     assert "not closed under reversal" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_b2_needs_a_positive_order(capsys, n):
+    # every bound is skipped at an order below 1, B2 among them
+    code, out, err = run(capsys, ["verify", "0010", "--n", n])
+    assert code == 0 and json.loads(out) == []
+    assert "skipped B2: B2 needs n > 0" in err.splitlines()
+    code, out, err = run(capsys, ["verify", "0010", "--n", n, "--bounds", "B2"])
+    assert code == 2 and out == ""
+    assert err == "error: B2 needs n > 0\n"
+
+
 def test_verify_with_closure_adds_reports(capsys):
     _, base, _ = run(capsys, ["verify", W3, "--bounds", "B8"])
     _, more, _ = run(capsys, ["verify", W3, "--bounds", "B8", "--with-closure"])
