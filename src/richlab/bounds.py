@@ -8,15 +8,17 @@ order in ns read straight from a profile's per-length arrays.  A
 right-hand side is an exact integer or, when the value is astronomically
 large, its base-2 logarithm with a high-precision thunk; one that depends
 only on (q, n) is given one order at a time, rhs(p, n), and computed once
-per (q, n) and call.
+per (q, n) in a process: _RHS_MEMO keeps its value and float log2, not the
+thunk, for every order up to the longest word met so far.
 
-evaluate_word and the check_* wrappers read the columns off as rows, one
-per report, and turn each into a BoundReport with the exact left-hand
-side; an explicit order past |w| reads the arrays through the *_at
-accessors (_beyond).  sweep_rich walks every canonical rich word,
-weighted by the size of its letter orbit, and folds the columns straight
-into per-bound units (_fold_columns), building no row, and a BoundReport
-only for a violation; B12 reads no word, so it is folded once per sweep.
+evaluate_word and the check_* wrappers build each bound's BoundReports
+straight from its two columns (_bound_reports), with the exact left-hand
+side.  An explicit order computes its right-hand side afresh, grows no
+memo column, and past |w| reads the arrays through the *_at accessors
+(_beyond).  sweep_rich walks every canonical rich word, weighted by the
+size of its letter orbit, and folds the columns straight into per-bound
+units (_fold_columns), building a BoundReport only for a violation; B12
+reads no word, so it is folded once per sweep.
 It carries the profile down the walk (_CarriedProfile), one letter
 pushed or popped at a time, instead of profiling each word.  Each table
 entry names the profile fields it reads, so the sweep folds a bound once
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, starmap
+from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -72,7 +74,7 @@ class ClosureRequiredError(ValueError):
 _setattr = object.__setattr__
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class BoundReport:
     """Outcome of one inequality check on one word (or pure arithmetic)."""
 
@@ -93,20 +95,21 @@ class BoundReport:
         self, bound_id, word_length, n, q, lhs, rhs, rhs_log2, holds, equality,
         covered, citation, detail,
     ):
-        # the generated frozen __init__ looks object.__setattr__ up per field;
-        # verify builds thousands of reports per word
-        _setattr(self, "bound_id", bound_id)
-        _setattr(self, "word_length", word_length)
-        _setattr(self, "n", n)
-        _setattr(self, "q", q)
-        _setattr(self, "lhs", lhs)
-        _setattr(self, "rhs", rhs)
-        _setattr(self, "rhs_log2", rhs_log2)
-        _setattr(self, "holds", holds)
-        _setattr(self, "equality", equality)
-        _setattr(self, "covered", covered)
-        _setattr(self, "citation", citation)
-        _setattr(self, "detail", detail)
+        # each field through its slot descriptor: the generated frozen
+        # __init__ goes through object.__setattr__ per field, and verify
+        # builds thousands of reports per word
+        _set_bound_id(self, bound_id)
+        _set_word_length(self, word_length)
+        _set_n(self, n)
+        _set_q(self, q)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_rhs_log2(self, rhs_log2)
+        _set_holds(self, holds)
+        _set_equality(self, equality)
+        _set_covered(self, covered)
+        _set_citation(self, citation)
+        _set_detail(self, detail)
 
     @property
     def rhs_is_log(self) -> bool:
@@ -122,6 +125,13 @@ class BoundReport:
     @classmethod
     def from_json_dict(cls, d: dict) -> "BoundReport":
         return from_json_fields(cls, d)
+
+
+(
+    _set_bound_id, _set_word_length, _set_n, _set_q, _set_lhs, _set_rhs,
+    _set_rhs_log2, _set_holds, _set_equality, _set_covered, _set_citation,
+    _set_detail,
+) = (vars(BoundReport)[name].__set__ for name in BoundReport.__slots__)
 
 
 @dataclass(frozen=True)
@@ -276,7 +286,7 @@ def _factor_counts(length: list[int], link: list[int], L: int) -> tuple[int, ...
 
 
 # Each profile field the table reads, as one hashable value built from the
-# arrays of a _CarriedProfile.  B2's rows read the switch cores only
+# arrays of a _CarriedProfile.  B2's reports read the switch cores only
 # through the sizes of their lpps fibres at each n, so its value is the
 # sorted (n, size) pairs, one per fibre.
 _CARRIED = {
@@ -423,7 +433,7 @@ class _CarriedProfile:
         by the letters c adds, read and cut back.  closed: the factors of a
         palindrome are closed under reversal.  fac: the suffix automaton, as
         in word_profile.  sw, gamma_max and cores are None: a closure's
-        B8/B9 rows read none of them.
+        B8/B9 reports read none of them.
         """
         tree, q, L = self.tree, self.q, len(c)
         tail = c[len(self) :]
@@ -465,8 +475,12 @@ def _require_closed(profile: WordProfile, n: int) -> None:
         )
 
 
-def _decide_log(lhs: int, rhs_log2: float, hp_rhs_log2) -> bool:
-    """lhs <= 2**rhs_log2, margin-escalated so violations are exact."""
+def _decide_log(lhs: int, rhs_log2: float, hp_rhs_log2, *args) -> bool:
+    """lhs <= 2**rhs_log2, margin-escalated so violations are exact.
+
+    hp_rhs_log2(*args) is log2(rhs) at the current mpmath precision; it is
+    called only when the float margin does not decide.
+    """
     if lhs <= 0:
         return True
     lhs_log2 = math.log2(lhs)
@@ -475,12 +489,12 @@ def _decide_log(lhs: int, rhs_log2: float, hp_rhs_log2) -> bool:
     # candidate violation or near-tie: re-decide at high precision
     with mpmath.workprec(_ESCALATED_PREC):
         left = mpmath.log(mpmath.mpf(lhs), 2)
-        right = hp_rhs_log2()
+        right = hp_rhs_log2(*args)
         if abs(left - right) > mpmath.mpf(2) ** (-(_ESCALATED_PREC - 40)):
             return left <= right
     with mpmath.workprec(1000):
         left = mpmath.log(mpmath.mpf(lhs), 2)
-        right = hp_rhs_log2()
+        right = hp_rhs_log2(*args)
         # ties at this precision can only be genuine equality
         return left <= right + mpmath.mpf(2) ** -900
 
@@ -500,7 +514,9 @@ class _Rhs(NamedTuple):
 
     exact: Optional[int]  # the value, when integral and at most EXACT_LOG2_CAP bits
     log2: float
-    hp: Callable  # log2 at the current mpmath precision, for escalations
+    # log2 at the current mpmath precision, for escalations; None in a
+    # _RHS_MEMO entry
+    hp: Optional[Callable]
 
 
 def _int_log2_or_none(n: int) -> Optional[int]:
@@ -589,7 +605,7 @@ class _Bound:
     Both sides come as columns: lhs(p, ns) and rhs(p, ns) list them at each
     order in ns, read straight from p's per-length arrays.  A right-hand
     side that reads only q and n (by_order) is given one order at a time,
-    rhs(p, n), and kept per (q, n) instead.
+    rhs(p, n), and its values are kept in _RHS_MEMO instead.
     """
 
     bound_id: str
@@ -601,7 +617,8 @@ class _Bound:
     domain: Optional[str] = None  # error for an explicit order below min_n
     rich: bool = True  # proved for rich words only
     closed: bool = False  # needs |w| >= n+1 and F(w,n+1) closed under reversal
-    by_order: bool = False  # rhs reads only q and n: computed once per (q, n)
+    # rhs reads only q and n: computed once per (q, n) in a process
+    by_order: bool = False
     # attach the equality verdict on rich words; only with a column rhs,
     # as _fold_columns counts equalities on columns alone
     equality: bool = False
@@ -747,11 +764,14 @@ _CLOSURE_GROUP = ("B8", "B9")
 
 
 def _orders(b: _Bound, p, L: int) -> Sequence[int]:
-    """Every order at which b applies to p's word, of length L."""
+    """Every order at which b applies to p's word, of length L.
+
+    A bound that reads no word (B12) runs at orders 1..max(L, 1).
+    """
     if b.closed:
         closed = p.closed
         return [n for n in range(b.min_n, L) if closed[n + 1]]
-    return range(b.min_n, L + 1)
+    return range(b.min_n, (L if b.reads else max(L, 1)) + 1)
 
 
 def _check_order(b: _Bound, p: Optional[WordProfile], n: int) -> None:
@@ -809,82 +829,151 @@ def _beyond(p: WordProfile) -> WordProfile:
     )
 
 
+# The (q, n)-only right-hand sides met so far in this process.  Key (b.rhs,
+# q) holds one column: entry n is b.rhs(p, n) at that q (entry 0 is None),
+# with numbers only, its high-precision thunk dropped (hp=None), so an
+# escalation builds b.rhs(p, n) again.  Keyed on the callable itself, the
+# column is never read for another right-hand side, such as a bound that
+# dataclasses.replace gave a new rhs.  It grows to the longest word a
+# caller walks; an explicit order never reads or grows it.
+_RHS_MEMO: dict[tuple, list] = {}
+
+
+def _column(b: _Bound, p, top: int) -> list:
+    """b's (q, n)-only right-hand sides at orders 0..top, at least (see _RHS_MEMO)."""
+    rhs = b.rhs
+    key = (rhs, p.q if b.reads else None)  # B12 reads no q either
+    column = _RHS_MEMO.get(key)
+    if column is None:
+        column = _RHS_MEMO[key] = [None]
+    while len(column) <= top:
+        value = rhs(p, len(column))
+        if value.__class__ is not int:
+            value = _Rhs(value.exact, value.log2, None)
+        column.append(value)
+    return column
+
+
+def _rebuilt_hp(b: _Bound, p, n: int):
+    """log2(b.rhs(p, n)) at the current mpmath precision, for an escalation
+    on a _RHS_MEMO entry, which keeps no thunk."""
+    return b.rhs(p, n).hp()
+
+
+def _bound_reports(
+    b: _Bound, p, orders: Sequence[int], force: bool, explicit: bool = False
+) -> list[BoundReport]:
+    """b's reports on p's word at each order, in order.
+
+    Every bound but B2 gives one report per order.  B2 gives one per lpps
+    value r of the order's switch cores.  A (q, n)-only right-hand side
+    comes from _RHS_MEMO, except at an explicit order: the one order the
+    caller gives, checked already, at which B2 with no switch cores still
+    reports the empty value.  A log-domain verdict that escalates rebuilds
+    its thunk from b.rhs.  The richness check runs only if b has a report.
+    """
+    if b.reads:
+        L, q = len(p.word.chars), p.q
+    else:
+        L = q = None  # B12 reads no word
+    if b.lhs is not None:
+        if not orders:
+            return []
+        lhs, rs = b.lhs(p, orders), repeat(None)
+    else:
+        rows = [
+            (n, left, r)
+            for n in orders for r, left in sorted(_lpps_fibers(p, n).items())
+        ]
+        if not rows:
+            if not explicit:
+                return []
+            rows = [(orders[0], 0, "")]
+        orders, lhs, rs = zip(*rows)
+    covered = not b.rich or p.rich or _require_rich(p, force)
+    if not b.by_order:
+        values = b.rhs(p, orders)
+    elif explicit:
+        values = repeat(b.rhs(p, orders[0]))
+    else:
+        values = map(_column(b, p, orders[-1]).__getitem__, orders)
+    bound_id, citation, detail = b.bound_id, b.citation, b.detail
+    equality = b.equality and p.rich
+    reports = []
+    for n, left, value, r in zip(orders, lhs, values, rs):
+        exact = value if value.__class__ is int else value.exact
+        if exact is not None:
+            report = BoundReport(
+                bound_id, L, n, q, left, exact, None, left <= exact,
+                left == exact if equality else None, covered, citation,
+                detail(p, n, left, value, r),
+            )
+        else:
+            log2 = value.log2
+            holds = _decide_log(left, log2, _rebuilt_hp, b, p, n)
+            report = BoundReport(
+                bound_id, L, n, q, left, None, log2, holds, None, covered,
+                citation, detail(p, n, left, value, r),
+            )
+        reports.append(report)
+    return reports
+
+
+def _explicit(
+    p: Optional[WordProfile], group: Sequence[str], ns: Sequence[int], force: bool
+) -> Optional[WordProfile]:
+    """p, read past |w| if some order in ns lies there, once group is checked at ns.
+
+    Raises the first error an order-by-order walk of group would meet: an
+    unknown bound, an order where a bound does not apply, or a word that
+    is not rich for a bound proved for rich words only (unless forced).
+    """
+    for n in ns:
+        for bound_id in group:
+            b = _BOUNDS.get(bound_id)
+            if b is None:
+                raise ValueError(f"unknown bound {bound_id!r}")
+            _check_order(b, p, n)
+            if b.rich and not p.rich:
+                _require_rich(p, force)
+    if p is not None and ns and max(ns) > len(p.word.chars):
+        return _beyond(p)
+    return p
+
+
 def _rows(
     p: Optional[WordProfile],
     groups: Sequence[Sequence[str]],
     ns: Optional[Iterable[int]],
     force: bool,
-    cache: Optional[dict],
-) -> Iterator[tuple]:
-    """One row per report, in report order.
+) -> Iterator[BoundReport]:
+    """The reports of p's word, group by group, in report order.
 
-    A row is (bound, profile, n, r, lhs, rhs, covered, holds, equality):
-    everything a BoundReport holds, with rhs as the table computed it and r
-    the lpps value of a B2 row.  ns=None walks each group's admissible
-    orders; an explicit order where a bound does not apply raises, before
-    any row of its group.  Each bound's sides are the table's columns over
-    the group's orders, and the rows read them off order by order.  cache
-    keeps the (q, n)-only right-hand sides, a pure function of (bound, q,
-    n); it may be None where no key repeats, as within one word.
+    ns=None walks each group's admissible orders, and the group's bounds
+    alternate order by order (a group of several holds no B2, so each of
+    its bounds has one report per order).  Explicit orders are checked
+    first (see _explicit), so one where a bound does not apply raises
+    before any report of its group; then each order gives its reports
+    bound by bound.  p may be None for a group that reads no word (B12)
+    at explicit orders.
     """
-    q = p.q if p is not None else None
-    explicit = ns is not None
-    if explicit:
+    if ns is not None:
         ns = list(ns)
-        if p is not None and max(ns, default=0) > len(p.word):
-            p = _beyond(p)
     for group in groups:
-        if explicit:
-            # the errors a row-by-row walk would meet first
+        if ns is None:
+            bs = [_BOUNDS[bound_id] for bound_id in group]
+            orders = _orders(bs[0], p, len(p.word))
+            sides = [_bound_reports(b, p, orders, force) for b in bs]
+            if len(sides) == 1:
+                yield from sides[0]
+            else:
+                for at_n in zip(*sides):
+                    yield from at_n
+        else:
+            at = _explicit(p, group, ns, force)
             for n in ns:
                 for bound_id in group:
-                    b = _BOUNDS.get(bound_id)
-                    if b is None:
-                        raise ValueError(f"unknown bound {bound_id!r}")
-                    _check_order(b, p, n)
-                    if b.rich and not p.rich:
-                        _require_rich(p, force)
-            orders = ns
-        else:
-            orders = _orders(_BOUNDS[group[0]], p, len(p.word))
-        sides = []
-        for bound_id in group:
-            b = _BOUNDS[bound_id]
-            if b.lhs is not None:
-                lhs = b.lhs(p, orders)
-            else:
-                # B2 has one report per lpps value; an explicit order with
-                # no switch cores still reports the empty value
-                lhs = [sorted(_lpps_fibers(p, n).items()) for n in orders]
-                if explicit:
-                    lhs = [terms or [("", 0)] for terms in lhs]
-            # a (q, n)-only right-hand side is computed as its row comes:
-            # holding a whole column of them made long words slower to report
-            sides.append((b, lhs, None if b.by_order else b.rhs(p, orders)))
-        for i, n in enumerate(orders):
-            for b, lhs, rhs in sides:
-                terms = ((None, lhs[i]),) if b.lhs is not None else lhs[i]
-                if not terms:
-                    continue
-                covered = not b.rich or p.rich or _require_rich(p, force)
-                if rhs is not None:
-                    value = rhs[i]
-                elif cache is None:
-                    value = b.rhs(p, n)
-                else:
-                    key = (b.bound_id, q, n)
-                    value = cache.get(key)
-                    if value is None:
-                        value = cache[key] = b.rhs(p, n)
-                for r, left in terms:
-                    if value.__class__ is int:
-                        holds = left <= value
-                    elif value.exact is not None:
-                        holds = left <= value.exact
-                    else:
-                        holds = _decide_log(left, value.log2, value.hp)
-                    equality = (left == value) if b.equality and p.rich else None
-                    yield b, p, n, r, left, value, covered, holds, equality
+                    yield from _bound_reports(_BOUNDS[bound_id], at, (n,), force, True)
 
 
 def _word_rows(
@@ -893,15 +982,14 @@ def _word_rows(
     ns: Optional[Sequence[int]],
     force: bool,
     include_closure: bool,
-    cache: Optional[dict],
     skipped: Optional[dict] = None,
-) -> Iterator[tuple]:
-    """The rows of evaluate_word(w, bound_ids, ns, force, include_closure).
+) -> Iterator[BoundReport]:
+    """The reports of evaluate_word(w, bound_ids, ns, force, include_closure).
 
     With skipped, a dict, and explicit orders, a bound that does not apply
     to w at ns is dropped and recorded in skipped with the reason before
-    any row is built, and the closure's B8/B9 run wherever they apply to
-    the closure, whether or not they apply to w.
+    any report is built, and the closure's B8/B9 run wherever they apply
+    to the closure, whether or not they apply to w.
     """
     profile = word_profile(w)
     closure_ids = [b for b in _CLOSURE_GROUP if b in bound_ids]
@@ -913,46 +1001,22 @@ def _word_rows(
         groups = [g for g in groups if g]
     else:
         groups = [[b for b in bound_ids if b != "B12"]]
-    parts = [_rows(profile, groups, ns, force, cache)]
+    parts = [_rows(profile, groups, ns, force)]
     if "B12" in bound_ids:
-        b12_ns = ns if ns is not None else range(1, max(len(w), 1) + 1)
-        parts.append(_rows(None, [("B12",)], b12_ns, force, cache))
+        parts.append(_rows(profile, [("B12",)], ns, force))
     if include_closure and closure_ids:
         closure = _closure_chars(w.chars, profile.lps_length)
         if closure != w.chars:
             cp = word_profile(Word(closure, profile.q))
             if skipped is not None:
                 closure_ids = _admissible(closure_ids, cp, ns, {})
-            parts.append(_rows(cp, [closure_ids], ns, force, cache))
+            parts.append(_rows(cp, [closure_ids], ns, force))
     return chain.from_iterable(parts)
 
 
 def _closure_chars(s: str, lps_length: int) -> str:
     """The palindromic closure of s: s, then the part before its lps reversed."""
     return s + s[: len(s) - lps_length][::-1]
-
-
-def _report(b, p, n, r, lhs, rhs, covered, holds, equality) -> BoundReport:
-    """The BoundReport of one row."""
-    if rhs.__class__ is int:
-        exact, log2 = rhs, None
-    else:
-        exact, log2 = rhs.exact, None if rhs.exact is not None else rhs.log2
-    # positional, in field order: cheaper than keywords, per report of verify
-    return BoundReport(
-        b.bound_id,
-        len(p.word) if p else None,
-        n,
-        p.q if p else None,
-        lhs,
-        exact,
-        log2,
-        holds,
-        equality,
-        covered,
-        b.citation,
-        b.detail(p, n, lhs, rhs, r),
-    )
 
 
 def _check(
@@ -962,7 +1026,12 @@ def _check(
     """The reports of the given bounds at one explicit order."""
     if w is not None:
         profile = profile or word_profile(w)
-    return list(starmap(_report, _rows(profile, [bound_ids], [n], force, None)))
+    orders = (n,)
+    p = _explicit(profile, bound_ids, orders, force)
+    reports = []
+    for bound_id in bound_ids:
+        reports += _bound_reports(_BOUNDS[bound_id], p, orders, force, True)
+    return reports
 
 
 # ---------------------------------------------------------------- check_*
@@ -986,7 +1055,10 @@ def check_upsilon_bound(
     covered = _require_rich(profile, force)
     lhs = _lpps_fibers(profile, n).get(r.chars, 0)
     rhs = b.rhs(profile, n)
-    return _report(b, profile, n, r.chars, lhs, rhs, covered, lhs <= rhs, None)
+    return BoundReport(
+        "B2", len(profile.word), n, profile.q, lhs, rhs, None, lhs <= rhs, None,
+        covered, b.citation, b.detail(profile, n, lhs, rhs, r.chars),
+    )
 
 
 def check_gamma_palindrome_bound(
@@ -1094,8 +1166,7 @@ def evaluate_word(
     include_closure additionally runs B8/B9 on the palindromic closure,
     whose factor sets are reversal-closed at every order.
     """
-    rows = _word_rows(w, bound_ids, ns, force, include_closure, None)
-    return list(starmap(_report, rows))
+    return list(_word_rows(w, bound_ids, ns, force, include_closure))
 
 
 # ---------------------------------------------------------------- sweep
@@ -1124,35 +1195,10 @@ _KEYS = (
     "reports", "passes", "violations", "equalities", "uncovered",
     "min_slack_log2", "max_slack_log2",
 )
-_EMPTY = (0, 0, 0, 0, 0, None, None)  # the unit of no rows
-
-
-def _fold(rows: Iterable[tuple]) -> tuple:
-    """One bound's rows folded into a unit: counts and slack range, in _KEYS order.
-
-    A unit violates exactly when its violation count, unit[2], is positive.
-    """
-    reports = passes = equalities = uncovered = 0
-    slacks = []
-    log2 = math.log2
-    for _, _, _, _, lhs, rhs, covered, holds, equality in rows:
-        reports += 1
-        if holds:
-            passes += 1
-        if equality:
-            equalities += 1
-        if not covered:
-            uncovered += 1
-        if lhs:
-            # _slack, inlined: a sweep folds every row of a new signature
-            if rhs.__class__ is int:
-                slacks.append(log2(rhs) - log2(lhs))
-            elif rhs.exact is None:
-                slacks.append(rhs.log2 - log2(lhs))
-            else:
-                slacks.append(log2(rhs.exact) - log2(lhs))
-    return (reports, passes, reports - passes, equalities, uncovered,
-            min(slacks, default=None), max(slacks, default=None))
+_EMPTY = (0, 0, 0, 0, 0, None, None)  # the unit of no reports
+# A unit, one bound's reports folded, is its counts and slack range in
+# _KEYS order; it violates exactly when its violation count, unit[2], is
+# positive.
 
 
 def _merge(a: tuple, b: tuple, weight: int) -> tuple:
@@ -1162,33 +1208,16 @@ def _merge(a: tuple, b: tuple, weight: int) -> tuple:
             min(ends, default=None), max(ends, default=None))
 
 
-def _by_order(columns: dict, b: _Bound, p, top: int) -> list:
-    """b's (q, n)-only right-hand sides at orders 0..top, at least.
-
-    Entry n is (exact, rhs, log2): rhs as b.rhs(p, n) gives it, its value
-    when integral (else None) and its base-2 log, so that a slack is one
-    subtraction.  columns keeps one list per bound for one q, grown as
-    longer words arrive; entry 0 is None, as no such bound has order 0.
-    """
-    column = columns.get(b.bound_id)
-    if column is None:
-        column = columns[b.bound_id] = [None]
-    while len(column) <= top:
-        rhs = b.rhs(p, len(column))
-        exact = rhs if rhs.__class__ is int else rhs.exact
-        column.append((exact, rhs, rhs.log2 if exact is None else math.log2(exact)))
-    return column
-
-
-def _fold_columns(b: _Bound, p, L: int, columns: dict) -> tuple:
-    """b's rows on a word of length L folded into a unit, as _fold folds them.
+def _fold_columns(b: _Bound, p, L: int) -> tuple:
+    """b's reports on a word of length L folded into a unit, building none.
 
     p holds the fields b reads, the per-length arrays of the word, as
     WordProfile names them, except that a B2 "cores" is the sorted (n,
     size) pairs of its lpps fibres; B12 reads none, and p may be None.
-    No row is built: the table gives both sides as columns, and each
-    verdict is the integer comparison or _decide_log that the row would
-    carry.  columns keeps the (q, n)-only right-hand sides (see _by_order).
+    The table gives both sides as columns, with a (q, n)-only right-hand
+    side from _RHS_MEMO, and each verdict is the integer comparison or
+    _decide_log that the report would carry; a slack is
+    BoundReport.slack_log2.
     """
     if b.lhs is not None:
         ns = _orders(b, p, L)
@@ -1203,18 +1232,22 @@ def _fold_columns(b: _Bound, p, L: int, columns: dict) -> tuple:
     log2 = math.log2
     equalities = 0
     if b.by_order:
-        column = _by_order(columns, b, p, ns[-1])
+        column = _column(b, p, ns[-1])
         passes = 0
         slacks = []
         for left, n in zip(lhs, ns):
-            exact, rhs, rhs_log2 = column[n]
+            value = column[n]
+            exact = value if value.__class__ is int else value.exact
             if exact is not None:
                 if left <= exact:
                     passes += 1
-            elif _decide_log(left, rhs.log2, rhs.hp):
-                passes += 1
-            if left:
-                slacks.append(rhs_log2 - log2(left))
+                if left:
+                    slacks.append(log2(exact) - log2(left))
+            else:
+                if _decide_log(left, value.log2, _rebuilt_hp, b, p, n):
+                    passes += 1
+                if left:
+                    slacks.append(value.log2 - log2(left))
     else:
         rhs = b.rhs(p, ns)
         passes = sum(map(operator.le, lhs, rhs))
@@ -1234,7 +1267,8 @@ def _fold_columns(b: _Bound, p, L: int, columns: dict) -> tuple:
 # frontier sweep holds more than 27,082.  The merge is exact, so the
 # result does not depend on the cap.  Running the prefix shards one after
 # another at jobs=1 bounds the memory too, but each shard builds its memo
-# and right-hand side columns anew, which doubled a q2 <= 9 sweep's time.
+# anew (and, when that was measured, its right-hand side columns too),
+# which doubled a q2 <= 9 sweep's time.
 _UNITS_CAP = 1 << 16
 
 
@@ -1247,26 +1281,26 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     first cap violating canonical words (as symbol tuples).
 
     A _CarriedProfile follows the walk's preorder: at each word it pops
-    back to the word's parent and pushes the last letter.  A bound's rows
-    on a word depend only on the profile fields the bound reads (its
-    `reads`; q is fixed, every walked word is rich, and the length is the
-    length of any field), so the rows are folded once per distinct
+    back to the word's parent and pushes the last letter.  A bound's
+    reports on a word depend only on the profile fields the bound reads
+    (its `reads`; q is fixed, every walked word is rich, and the length is
+    the length of any field), so they are folded once per distinct
     signature (bound_id, fields) into a unit, and each word adds its
     weight to its signatures' totals.  The signatures are built from the
     carried arrays, and a new one is folded from them as columns
-    (_fold_columns), with no row and no WordProfile built.  B2's rows read
+    (_fold_columns), with no report and no WordProfile built.  B2 reads
     the cores only through the sizes of their lpps fibres, so its
     signature is the sorted fibre sizes at each n.  Every unit, times its
     total, is merged into its bound's unit at the end, or sooner once
     _UNITS_CAP signatures are held.  Counts are integers and the slack
     range takes min and max over the same values, so the result equals a
     word-by-word fold exactly; a word violates exactly when one of its
-    units does.  A closure's B8/B9 rows are keyed on the closure's own
+    units does.  A closure's B8/B9 units are keyed on the closure's own
     profile (see closure_profile), and the closure's units are memoised
     by its chars: the words that share a closure are all prefixes of it,
-    so closures repeat often, and a repeat skips its profile.  The
-    right-hand side columns, the units and the closure memo live for this
-    call only.
+    so closures repeat often, and a repeat skips its profile.  The units
+    and the closure memo live for this call only; the (q, n)-only
+    right-hand sides come from _RHS_MEMO.
     """
     q, prefix, max_len, canonical, bound_ids, include_closure, cap = args
     weights = [math.perm(q, k) for k in range(q + 1)]
@@ -1283,7 +1317,6 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
         _BOUNDS[b] for b in _CLOSURE_GROUP if include_closure and b in bound_ids
     ]
     words = 0
-    columns = {}
     agg = dict.fromkeys(bound_ids, _EMPTY)
     units: dict[tuple, list] = {}  # signature -> [unit, total weight]
     closures: dict[str, list] = {}  # closure chars -> its [unit, total] entries
@@ -1296,7 +1329,7 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
             if entry is None:
                 if p is None:
                     p = SimpleNamespace(q=q, rich=True, **fields)
-                entry = units[key] = [_fold_columns(b, p, L, columns), 0]
+                entry = units[key] = [_fold_columns(b, p, L), 0]
             found.append(entry)
         return found
 
@@ -1351,7 +1384,7 @@ def _violating_reports(
     """The first cap violating reports of one length's words, in report order.
 
     kept holds the first cap violating canonical words of the length, in
-    lexicographic order.  Renaming keeps every row's verdict, so the orbit
+    lexicographic order.  Renaming keeps every report's verdict, so the orbit
     of each violates too.  A word whose canonical form is not kept comes
     after cap violating words, which are all in the kept orbits.
     """
@@ -1359,13 +1392,14 @@ def _violating_reports(
     import heapq
 
     reports: list[BoundReport] = []
-    cache = {}
     for symbols in heapq.merge(*(_orbit(c, q) for c in kept)):
         if len(reports) >= cap:
             break
         w = Word.from_symbols(symbols, q)
-        rows = _word_rows(w, bound_ids, None, False, include_closure, cache)
-        reports.extend(_report(*row) for row in rows if not row[7])
+        reports += [
+            r for r in _word_rows(w, bound_ids, None, False, include_closure)
+            if not r.holds
+        ]
     return reports[:cap]
 
 
@@ -1385,7 +1419,7 @@ def sweep_rich(
     walks only canonical words and weights each with the size of its
     letter orbit.  A bound is folded into a unit (counts and slack range)
     once per distinct input signature, the fields of the profile it reads,
-    from its two columns and without building its rows, and repeated
+    from its two columns and without building its reports, and repeated
     closures are profiled once (see _sweep_below); the merged units equal
     a word-by-word fold exactly.  Reversal is not folded
     the same way: the closure of reverse(w) is not the reverse of w's
@@ -1427,10 +1461,10 @@ def sweep_rich(
             )
     if "B12" in ids:
         top = max(max_len, 1)
-        units["B12"] = _fold_columns(_BOUNDS["B12"], None, top, {})
+        units["B12"] = _fold_columns(_BOUNDS["B12"], None, top)
         if units["B12"][2]:
-            rows = _rows(None, [("B12",)], range(1, top + 1), False, None)
-            violating += [_report(*row) for row in rows if not row[7]]
+            reports = _rows(None, [("B12",)], range(1, top + 1), False)
+            violating += [r for r in reports if not r.holds]
     return SweepSummary(
         q=q,
         max_len=max_len,

@@ -22,10 +22,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import starmap
 from typing import Optional
 
-from .bounds import BOUND_IDS, _report, _word_rows, sweep_rich, word_profile
+from .bounds import BOUND_IDS, _word_rows, sweep_rich, word_profile
 from .crosscheck import check_cell, exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
@@ -141,6 +140,8 @@ def _parse_bound_ids(text: Optional[str]) -> tuple[str, ...]:
     if text is None:
         return BOUND_IDS
     wanted = [part.strip() for part in text.split(",") if part.strip()]
+    if not wanted:
+        raise ValueError("--bounds names no bound")
     unknown = [b for b in wanted if b not in BOUND_IDS]
     if unknown:
         raise ValueError(
@@ -158,10 +159,10 @@ def _cmd_verify(args) -> int:
     # with no bounds named, check those that apply at this order; B8/B9
     # skipped on w still run on its closure where they apply
     skipped = {} if args.n is not None and args.bounds is None else None
-    rows = _word_rows(w, ids, ns, args.force, args.with_closure, None, skipped)
+    rows = _word_rows(w, ids, ns, args.force, args.with_closure, skipped)
     for bound_id, reason in (skipped or {}).items():
         print(f"skipped {bound_id}: {reason}", file=sys.stderr)
-    reports = list(starmap(_report, rows))
+    reports = list(rows)
     _emit_json([r.to_json_dict() for r in reports])
     return 0 if all(r.holds for r in reports) else 1
 

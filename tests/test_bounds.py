@@ -2,9 +2,11 @@
 report serialization, and the sweep runner."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -637,6 +639,29 @@ def test_report_json_round_trip():
         assert BoundReport.from_json_dict(json.loads(wire)) == rep
 
 
+def test_report_is_a_frozen_record_with_slots():
+    rep = check_gamma_closed_form(W3, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.holds = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rep.n
+    assert not hasattr(rep, "__dict__")
+    names = tuple(f.name for f in dataclasses.fields(BoundReport))
+    assert BoundReport.__slots__ == names
+    copy = pickle.loads(pickle.dumps(rep))
+    assert copy == rep and hash(copy) == hash(rep) and copy is not rep
+    moved = dataclasses.replace(rep, n=4)
+    assert moved != rep and (moved.n, moved.detail) == (4, rep.detail)
+    assert dataclasses.replace(moved, n=3) == rep
+    assert rep != dataclasses.astuple(rep)
+    assert list(rep.to_json_dict()) == [
+        "bound_id", "word_length", "n", "q", "lhs", "rhs", "rhs_log2",
+        "rhs_is_log", "holds", "equality", "covered", "citation", "detail",
+    ]
+    for r in (rep, check_ceil_product_lemma(1000), check_final_bounds(W3, 5)[1]):
+        assert BoundReport.from_json_dict(json.loads(json.dumps(r.to_json_dict()))) == r
+
+
 def test_report_slack():
     rep = check_reversal_inequality(W3, 3)
     assert rep.slack_log2() == pytest.approx(0.0)
@@ -726,6 +751,87 @@ def test_evaluate_word_force_on_non_rich():
     reports = evaluate_word(WITNESS, bound_ids=["B9"], ns=[4], force=True)
     assert len(reports) == 1
     assert not reports[0].holds
+
+
+def _fibonacci_prefix(length):
+    a, b = "0", "01"
+    while len(b) < length:
+        a, b = b, b + a
+    return W(b[:length])
+
+
+def _assert_memo_matches_explicit_orders(w):
+    """Every report of evaluate_word(w, include_closure=True), against the
+    report of its bound at its own order alone, on w or on its closure."""
+    closure = palindromic_closure(w)
+    assert len(closure) > len(w)
+    reports = evaluate_word(w, include_closure=True)
+    at = {}
+    for r in reports:
+        on = closure if r.word_length == len(closure) else w
+        at.setdefault((on, r.bound_id, r.n), []).append(r)
+    for (on, bound_id, n), got in at.items():
+        want = evaluate_word(on, [bound_id], [n])
+        assert _exact([r.to_json_dict() for r in got]) == _exact(
+            [r.to_json_dict() for r in want]
+        ), (bound_id, n, on is closure)
+    return reports
+
+
+def test_memo_orders_equal_explicit_orders(monkeypatch):
+    # the words' reports come from the process-wide memo of the (q, n)-only
+    # right-hand sides, the explicit orders compute theirs afresh
+    monkeypatch.setattr(bounds, "word_profile", functools.cache(bounds.word_profile))
+    words = [
+        _fibonacci_prefix(300),
+        _random_rich_word(random.Random(14), 3, 300),
+    ]
+    for w in words:
+        assert word_profile(w).rich and len(w) == 300
+        _assert_memo_matches_explicit_orders(w)
+    # an explicit order far past the word grows no column
+    lengths = {key: len(column) for key, column in bounds._RHS_MEMO.items()}
+    far = [b for b in BOUND_IDS if b not in bounds._CLOSURE_GROUP]
+    assert len(evaluate_word(words[0], far, ns=[10**9])) == len(far)
+    assert {key: len(column) for key, column in bounds._RHS_MEMO.items()} == lengths
+
+    # again with B5's rhs the log-domain constant 2**0: maxswitch(n) = 1
+    # is an exact tie, which only 1000 bits settle, and a larger one is
+    # settled at 200; the memo holds no thunk, so every escalation builds
+    # the rhs again
+    b5 = bounds._BOUNDS["B5"]
+    thunks = []
+
+    def zero():
+        thunks.append(1)
+        return mpmath.mpf(0)
+
+    patched = dataclasses.replace(b5, rhs=lambda p, n: bounds._Rhs(None, 0.0, zero))
+    monkeypatch.setitem(bounds._BOUNDS, "B5", patched)
+    precisions = []
+    workprec = mpmath.workprec
+
+    def recording(prec):
+        precisions.append(prec)
+        return workprec(prec)
+
+    monkeypatch.setattr(mpmath, "workprec", recording)
+    for w in words:
+        precisions.clear()
+        thunks.clear()
+        b5_reports = [r for r in evaluate_word(w) if r.bound_id == "B5"]
+        assert {200, 1000} <= set(precisions) and thunks
+        column = bounds._RHS_MEMO[patched.rhs, w.alphabet_size]
+        assert len(column) == len(w) + 1
+        assert all(entry.hp is None for entry in column[1:])
+        assert {(r.rhs, r.rhs_log2, r.detail) for r in b5_reports} == {
+            (None, 0.0, "log2(rhs)=0")
+        }
+        assert {(r.lhs == 1, r.holds) for r in b5_reports} == {
+            (True, True), (False, False)
+        }
+        reports = _assert_memo_matches_explicit_orders(w)
+        assert [r for r in reports if r.bound_id == "B5"] == b5_reports
 
 
 # --- sweep runner ---
@@ -916,7 +1022,7 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
             _assert_sweep_matches(summary, reference, cap)
 
     # a log-domain B12 of 2**(n/4) fails at n = 3, 5 and 6 and ties at 4;
-    # the sweep folds B12 from its columns and builds its rows only
+    # the sweep folds B12 from its columns and builds its reports only
     # because one fails
     b12 = bounds._BOUNDS["B12"]
     monkeypatch.setitem(bounds._BOUNDS, "B12", dataclasses.replace(
@@ -930,10 +1036,10 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
 
 
 def test_sweep_decides_table_near_ties_at_high_precision(monkeypatch):
-    # B5's rhs as the log-domain constant 2**0 (it reads only n, so B5's
-    # (q, n) rhs cache stays valid): a row with maxswitch(n) = 1 is an exact
-    # tie, which only 1000 bits settle, and holds; one with maxswitch(n) >= 2
-    # violates
+    # B5's rhs as the log-domain constant 2**0 (the right-hand side memo
+    # is keyed on the callable, so it reads none of the table's B5
+    # entries): a report with maxswitch(n) = 1 is an exact tie, which only
+    # 1000 bits settle, and holds; one with maxswitch(n) >= 2 violates
     b5 = bounds._BOUNDS["B5"]
     one = bounds._Rhs(None, 0.0, lambda: mpmath.mpf(0))
     monkeypatch.setitem(bounds._BOUNDS, "B5", dataclasses.replace(
@@ -974,26 +1080,33 @@ def _canonical_form(w):
 # --- orbit-weighted sweep against the per-word fold ---
 
 
+def _unit(reports):
+    """reports folded into a sweep unit, in bounds._KEYS order."""
+    agg = dict.fromkeys(bounds._KEYS, 0)
+    agg["min_slack_log2"] = agg["max_slack_log2"] = None
+    for r in reports:
+        _reference_fold(agg, r)
+    return tuple(agg[k] for k in bounds._KEYS)
+
+
 def _per_word_summary(q, max_len, ids, include_closure, cap=50):
-    """sweep_rich's JSON less the timing, folding every rich word's rows once."""
+    """sweep_rich's JSON less the timing, folding every rich word's reports once."""
     units = dict.fromkeys(ids, bounds._EMPTY)
     word_ids = tuple(b for b in ids if b != "B12")
     words, by_length = 0, [[] for _ in range(max_len + 1)]
-    cache = {}
     for symbols, _ in _walk(q, (), max_len, False):
         words += 1
         w = Word.from_symbols(symbols, q)
-        rows = list(bounds._word_rows(w, word_ids, None, False, include_closure, cache))
+        reports = evaluate_word(w, word_ids, include_closure=include_closure)
         for b in word_ids:
-            unit = bounds._fold(row for row in rows if row[0].bound_id == b)
+            unit = _unit(r for r in reports if r.bound_id == b)
             units[b] = bounds._merge(units[b], unit, 1)
-        by_length[len(symbols)] += [bounds._report(*row) for row in rows if not row[7]]
+        by_length[len(symbols)] += [r for r in reports if not r.holds]
     violating = [r for reports in by_length for r in reports]
     if "B12" in ids:
-        orders = range(1, max(max_len, 1) + 1)
-        rows = list(bounds._rows(None, [("B12",)], orders, False, None))
-        units["B12"] = bounds._fold(rows)
-        violating += [bounds._report(*row) for row in rows if not row[7]]
+        reports = [check_ceil_product_lemma(n) for n in range(1, max(max_len, 1) + 1)]
+        units["B12"] = _unit(reports)
+        violating += [r for r in reports if not r.holds]
     per_bound = {b: dict(zip(bounds._KEYS, unit)) for b, unit in units.items()}
     return {
         "q": q,
@@ -1046,15 +1159,14 @@ def test_sweep_that_flushes_its_memo_equals_the_per_word_fold(monkeypatch, q, ma
     assert _summary_json(sweep_rich(q, max_len)) == reference
 
 
-# --- the sweep's column fold against the rows it stands for ---
+# --- the sweep's column fold against the reports it stands for ---
 
 
 @pytest.mark.parametrize("q,max_len", [(2, 12), (3, 8), (4, 5)])
 def test_column_fold_equals_the_row_fold(q, max_len):
     # every canonical word, each bound folded from the columns the sweep
-    # reads and from the rows evaluate_word reports; then B8/B9 on the
+    # reads and from the reports evaluate_word builds; then B8/B9 on the
     # word's palindromic closure
-    columns = {}
     for symbols, _ in _walk(q, (), max_len, True):
         w = Word.from_symbols(symbols, q)
         profile = word_profile(w)
@@ -1064,16 +1176,15 @@ def test_column_fold_equals_the_row_fold(q, max_len):
             for p, f in ((profile, fields), (closure, closure)):
                 if p is closure and b.bound_id not in bounds._CLOSURE_GROUP:
                     continue
-                rows = bounds._rows(p, [(b.bound_id,)], None, False, None)
-                want = _exact(bounds._fold(rows))
-                assert _exact(bounds._fold_columns(b, f, len(p.word), columns)) == want, (
+                want = _exact(_unit(bounds._rows(p, [(b.bound_id,)], None, False)))
+                assert _exact(bounds._fold_columns(b, f, len(p.word))) == want, (
                     w, b.bound_id, p is closure
                 )
     # B12 reads no word: the sweep folds it once, over orders 1..max_len
     b12 = bounds._BOUNDS["B12"]
     for top in range(1, 70):
-        rows = bounds._rows(None, [("B12",)], range(1, top + 1), False, None)
-        assert bounds._fold_columns(b12, None, top, columns) == bounds._fold(rows), top
+        reports = bounds._rows(None, [("B12",)], range(1, top + 1), False)
+        assert bounds._fold_columns(b12, None, top) == _unit(reports), top
 
 
 # --- the sweep's per-bound signatures ---
@@ -1115,12 +1226,13 @@ def test_bound_reads_declare_every_field_its_rows_read():
         seen, folded = set(), set()
         for profile in profiles:
             p = _RecordingProfile(profile, seen)
-            for row in bounds._rows(p, [(b.bound_id,)], None, True, None):
-                bounds._report(*row)  # the detail text reads fields too
+            # building the reports runs their detail text, which reads
+            # fields too
+            list(bounds._rows(p, [(b.bound_id,)], None, True))
             if b.bound_id != "B12" and (profile.rich or not b.rich):
                 # the sweep's fold reads its columns from the same fields
                 p = _RecordingProfile(_signed_fields(profile), folded)
-                bounds._fold_columns(b, p, len(profile.word), {})
+                bounds._fold_columns(b, p, len(profile.word))
         assert seen - {"q", "rich", "word"} == set(b.reads), b.bound_id
         if b.bound_id != "B12":
             assert folded - {"q", "rich"} == set(b.reads), b.bound_id

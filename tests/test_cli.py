@@ -158,6 +158,15 @@ def test_verify_unknown_bound_id(capsys):
     assert "unknown bound ids" in err and "B12" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", W3], ["sweep", "--q", "2", "--max-len", "3"],
+])
+@pytest.mark.parametrize("bounds", [",", ""])
+def test_bounds_naming_no_bound_is_usage_error(capsys, command, bounds):
+    code, out, err = run(capsys, [*command, "--bounds", bounds])
+    assert (code, out, err) == (2, "", "error: --bounds names no bound\n")
+
+
 def test_verify_order_skips_bounds_that_do_not_apply(capsys):
     code, out, err = run(capsys, ["verify", "abaab", "--n", "2"])
     assert code == 0
