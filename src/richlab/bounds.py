@@ -14,13 +14,14 @@ thunk, for every order up to the longest word met so far.
 evaluate_word and the check_* wrappers build each bound's BoundReports
 straight from its two columns (_bound_reports), with the exact left-hand
 side.  An explicit order computes its right-hand side afresh, grows no
-memo column, and past |w| reads the arrays through the *_at accessors
+memo column, and past |w| reads the arrays through _AnyOrder views
 (_beyond).  sweep_rich walks every canonical rich word, weighted by the
 size of its letter orbit, and folds the columns straight into per-bound
 units (_fold_columns), building a BoundReport only for a violation; B12
 reads no word, so it is folded once per sweep.
 It carries the profile down the walk (_CarriedProfile), one letter
-pushed or popped at a time, instead of profiling each word.  Each table
+pushed or popped at a time, instead of profiling each word; both
+profiles find switches with one step on the Eertree, _new_cores.  Each table
 entry names the profile fields it reads, so the sweep folds a bound once
 per distinct (bound, fields) and adds up the weights of the words that
 share them; the sums are exact.  B2's signature, and its left-hand
@@ -47,10 +48,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
 
-from .enumeration import DEFAULT_SHARD_PREFIX, _orbit, _sharded, _walk
-from .paltree import Eertree, _lpps_chars
+from .enumeration import DEFAULT_SHARD_PREFIX, _check_alphabet, _orbit, _sharded, _walk
+from .paltree import Eertree, lpps
 from .records import from_json_fields, json_fields
-from .structures import _switch_starts
+from .structures import switch_cores
 from .words import Word
 
 BOUND_IDS = (
@@ -138,7 +139,7 @@ class BoundReport:
 class WordProfile:
     """Per-length statistics of one word, computed by word_profile.
 
-    sw, gamma_max and cores are None in the profile of a closure taken by
+    sw, gamma_max and fibres are None in the profile of a closure taken by
     _CarriedProfile.closure_profile.
     """
 
@@ -151,41 +152,20 @@ class WordProfile:
     gamma_max: Optional[tuple[int, ...]]  # max(1, max sw[i] for i<=n)
     pal_max: tuple[int, ...]    # pal_max[n] = max pal[j] for j<=n
     closed: tuple[bool, ...]    # closed[n] = F(w,n) stable under reversal
-    cores: Optional[tuple[frozenset[str], ...]]  # length-n switch cores (chars)
+    # fibres[n]: the length-n switch cores grouped by lpps, as sorted
+    # (lpps chars, core count) pairs
+    fibres: Optional[tuple[tuple[tuple[str, int], ...], ...]]
     lps_length = None  # |lps(word)|, set by word_profile; not a field
 
-    def fac_at(self, n: int) -> int:
-        return self.fac[n] if 0 <= n < len(self.fac) else (1 if n == 0 else 0)
 
-    def pal_at(self, n: int) -> int:
-        return self.pal[n] if 0 <= n < len(self.pal) else (1 if n == 0 else 0)
-
-    def sw_at(self, n: int) -> int:
-        return self.sw[n] if 0 <= n < len(self.sw) else 0
-
-    def gamma_max_at(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("negative order")
-        return self.gamma_max[min(n, len(self.gamma_max) - 1)]
-
-    def pal_max_at(self, n: int) -> int:
-        return self.pal_max[min(n, len(self.pal_max) - 1)]
-
-    def closed_at(self, n: int) -> bool:
-        # beyond |w| the factor set is empty, which is vacuously closed
-        return self.closed[n] if 0 <= n < len(self.closed) else True
-
-    def cores_at(self, n: int) -> frozenset[str]:
-        return self.cores[n] if 0 <= n < len(self.cores) else frozenset()
-
-
-def _suffix_automaton(s: str) -> tuple[list[int], list[int], list[dict]]:
-    """State lengths, suffix links and transitions of the suffix automaton of s.
+def _suffix_automaton(s: str) -> tuple[list[int], list[int], list[dict], list[int]]:
+    """State lengths, suffix links and transitions of the suffix automaton of s,
+    and for each i the length of the longest suffix of s[:i+1] in F(s[:i]).
 
     State 0 is the root; every other state v stands for the factors of s
     with lengths length[link[v]]+1 .. length[v] that share one end set.
     """
-    length, link, nxt = [0], [-1], [{}]
+    length, link, nxt, earlier = [0], [-1], [{}], []
     last = 0
     for c in s:
         cur = len(length)
@@ -209,25 +189,51 @@ def _suffix_automaton(s: str) -> tuple[list[int], list[int], list[dict]]:
                     nxt[p][c] = clone
                     p = link[p]
                 link[r] = link[cur] = clone
+        earlier.append(length[link[cur]])
         last = cur
-    return length, link, nxt
+    return length, link, nxt, earlier
+
+
+def _new_cores(tree: Eertree, s: str, i: int, m: int) -> list[int]:
+    """The core nodes of the switches that appending s[i] to s[:i] makes new.
+
+    tree holds s[:i]; m is the length of the longest suffix of s[:i+1]
+    that occurs in s[:i].  A new switch a·u·s[i] is longer than m, and its
+    core u is a nonempty palindromic suffix of s[:i] (on the suffix-link
+    chain of its lps) preceded by a letter a != s[i].
+    """
+    length, link = tree.node_length, tree.suffix_link
+    c = s[i]
+    x = tree.last_node()
+    n = length(x)
+    if n == i:  # s[:i] is a palindrome: no letter precedes it
+        x = link(x)
+        n = length(x)
+    cores = []
+    while n > 0 and n + 2 > m:
+        if s[i - n - 1] != c:
+            cores.append(x)
+        x = link(x)
+        n = length(x)
+    return cores
 
 
 def word_profile(w: Word) -> WordProfile:
-    """Per-length statistics of w from four passes of O(|w|) steps each.
+    """Per-length statistics of w from three passes of O(|w|) steps each.
 
     fac: each suffix-automaton state adds 1 to every length it stands for.
     closed: F(w,n) is reversal-closed iff every length-n factor of
     reverse(w) occurs in w, read off the matching statistics of reverse(w)
     against the same automaton.  pal, rich, lps_length: one Eertree run.
-    sw and cores: one switch occurrence at most per palindrome centre.
-    Hashing the distinct switch strings also costs the total length of the
-    switch occurrences, O(|w|^2) characters at worst, all of it in C.
+    sw and fibres: _new_cores at each letter of that run, given the longest
+    earlier suffix that the automaton records.  A new core u's lpps is the
+    suffix link of u's node, a suffix of the word read so far, sliced out
+    in C.
     """
     s = w.chars
     L = len(s)
 
-    length, link, nxt = _suffix_automaton(s)
+    length, link, nxt, earlier = _suffix_automaton(s)
     fac = _factor_counts(length, link, L)
 
     # matching statistics: ml[j] = longest suffix of reverse(w)[:j+1] in F(w)
@@ -245,19 +251,28 @@ def word_profile(w: Word) -> WordProfile:
     for j in range(L - 1, -1, -1):
         low = min(low, ml[j])
         closed[j + 1] = low >= j + 1
+    del length, link, nxt, ml  # freed before the Eertree run raises the peak
 
     tree = Eertree()
-    for c in w:
+    node_length, suffix_link = tree.node_length, tree.suffix_link
+    sw = [0] * (L + 1)
+    known = bytearray(L + 2)  # known[x]: node x was met as a core
+    fibres: dict[tuple[int, str], int] = {}  # (|u|, lpps chars) -> its cores
+    for i, c in enumerate(w):
+        for x in _new_cores(tree, s, i, earlier[i]):
+            n = node_length(x)
+            sw[n + 2] += 1
+            if not known[x]:
+                known[x] = 1
+                key = (n, s[i - node_length(suffix_link(x)) : i])
+                fibres[key] = fibres.get(key, 0) + 1
         tree.append(c)
     pal = [1] + [0] * L
     for node in range(2, tree.node_count):
-        pal[tree.node_length(node)] += 1
-
-    sw = [0] * (L + 1)
-    cores = [frozenset()] * (L + 1)
-    for m, starts in _switch_starts(s).items():
-        sw[m] = len({s[i : i + m] for i in starts})
-        cores[m - 2] = frozenset(s[i + 1 : i + m - 1] for i in starts)
+        pal[node_length(node)] += 1
+    by_order = [()] * (L + 1)
+    for (n, r), size in sorted(fibres.items()):
+        by_order[n] += ((r, size),)
     profile = WordProfile(
         word=w,
         q=w.alphabet_size,
@@ -268,9 +283,9 @@ def word_profile(w: Word) -> WordProfile:
         gamma_max=tuple(accumulate(sw, max, initial=1))[1:],
         pal_max=tuple(accumulate(pal, max)),
         closed=tuple(closed),
-        cores=tuple(cores),
+        fibres=tuple(by_order),
     )
-    _setattr(profile, "lps_length", tree.node_length(tree.last_node()))
+    _setattr(profile, "lps_length", node_length(tree.last_node()))
     return profile
 
 
@@ -286,9 +301,9 @@ def _factor_counts(length: list[int], link: list[int], L: int) -> tuple[int, ...
 
 
 # Each profile field the table reads, as one hashable value built from the
-# arrays of a _CarriedProfile.  B2's reports read the switch cores only
-# through the sizes of their lpps fibres at each n, so its value is the
-# sorted (n, size) pairs, one per fibre.
+# arrays of a _CarriedProfile.  B2's reports read the lpps fibres only
+# through their sizes at each n, so its value is the sorted (n, size)
+# pairs, one per fibre.
 _CARRIED = {
     "fac": lambda s: tuple(s.fac),
     "pal": lambda s: tuple(s.pal),
@@ -296,7 +311,7 @@ _CARRIED = {
     "gamma_max": lambda s: tuple(accumulate(s.sw, max, initial=1))[1:],
     "pal_max": lambda s: tuple(accumulate(s.pal, max)),
     "closed": lambda s: tuple(map(operator.not_, s.unpaired)),
-    "cores": lambda s: tuple(sorted((k[0], size) for k, size in s.fibres.items())),
+    "fibres": lambda s: tuple(sorted((k[0], size) for k, size in s.fibres.items())),
 }
 
 
@@ -314,9 +329,8 @@ class _CarriedProfile:
     - closed: unpaired[n] counts the length-n factors whose reversal is
       absent; F(w,n) is reversal-closed exactly when it is 0.
     - pal: the new Eertree node, if any, has the length of the new lps.
-    - sw: the new switches are a·u·c with u a nonempty palindromic suffix
-      of the old word (its Eertree suffix-link chain), a the letter before
-      u, a != c and |u| + 2 > m.
+    - sw: the cores of the new switches come from _new_cores, given m,
+      as in word_profile.
     - B2's fibres: lpps(u) of a core u is the suffix link of u's node, so
       the cores of one fibre share (|u|, link node).
 
@@ -366,23 +380,15 @@ class _CarriedProfile:
         tree = self.tree
         length, link = tree.node_length, tree.suffix_link
         switches = self.switches
-        cores = []
-        x = tree.last_node()
-        n = length(x)
-        if n == L - 1:  # the old word is a palindrome: no letter precedes it
-            x = link(x)
+        cores = _new_cores(tree, s, L - 1, m)
+        for x in cores:
             n = length(x)
-        while n > 0 and n + 2 > m:
-            if s[L - n - 2] != s[-1]:
-                sw[n + 2] += 1
-                count = switches.get(x, 0)
-                switches[x] = count + 1
-                if not count:
-                    key = (n, link(x))
-                    self.fibres[key] = self.fibres.get(key, 0) + 1
-                cores.append(x)
-            x = link(x)
-            n = length(x)
+            sw[n + 2] += 1
+            count = switches.get(x, 0)
+            switches[x] = count + 1
+            if not count:
+                key = (n, link(x))
+                self.fibres[key] = self.fibres.get(key, 0) + 1
         created = tree.append(c)
         if created:
             self.pal[length(tree.last_node())] += 1
@@ -432,7 +438,7 @@ class _CarriedProfile:
         pal: the carried Eertree holds the word already, so it is extended
         by the letters c adds, read and cut back.  closed: the factors of a
         palindrome are closed under reversal.  fac: the suffix automaton, as
-        in word_profile.  sw, gamma_max and cores are None: a closure's
+        in word_profile.  sw, gamma_max and fibres are None: a closure's
         B8/B9 reports read none of them.
         """
         tree, q, L = self.tree, self.q, len(c)
@@ -444,7 +450,7 @@ class _CarriedProfile:
         rich = tree.distinct_nonempty == L
         for _ in tail:
             tree.pop()
-        length, link, _ = _suffix_automaton(c)
+        length, link, _, _ = _suffix_automaton(c)
         return WordProfile(
             Word._trusted(c, q), q, rich, _factor_counts(length, link, L),
             tuple(pal), None, None, tuple(accumulate(pal, max)), (True,) * (L + 1),
@@ -468,7 +474,7 @@ def _require_closed(profile: WordProfile, n: int) -> None:
         raise ValueError("needs n > 0")
     if len(profile.word) < n + 1:
         raise ValueError(f"needs |w| >= {n + 1}")
-    if not profile.closed_at(n + 1):
+    if not profile.closed[n + 1]:
         raise ClosureRequiredError(
             f"factors of length {n + 1} of {profile.word.text!r} "
             "are not closed under reversal"
@@ -586,15 +592,6 @@ def _ceil_product(n: int) -> int:
     return lhs
 
 
-def _lpps_fibers(profile: WordProfile, n: int) -> dict[str, int]:
-    """Number of length-n switch cores per lpps value (as chars)."""
-    fibers: dict[str, int] = {}
-    for u in profile.cores_at(n):
-        r = _lpps_chars(u, profile.q)
-        fibers[r] = fibers.get(r, 0) + 1
-    return fibers
-
-
 # ---------------------------------------------------------------- the table
 
 
@@ -610,7 +607,7 @@ class _Bound:
 
     bound_id: str
     citation: str
-    lhs: Optional[Callable]  # (p, ns) -> list[int]; None for B2's lpps fibers
+    lhs: Optional[Callable]  # (p, ns) -> list[int]; None for B2's lpps fibres
     rhs: Callable  # (p, ns) -> list[int]; by_order: (p, n) -> int or _Rhs
     detail: Callable  # (profile, n, lhs, rhs, r) -> str
     min_n: int = 1  # smallest admissible order
@@ -657,7 +654,7 @@ _TABLE = (
         rhs=lambda p, n: p.q * (p.q - 1),
         detail=lambda p, n, lhs, rhs, r: f"r={Word(r, p.q).text!r}: {lhs} <= {rhs}",
         domain="B2 needs n > 0", by_order=True,
-        reads=("cores",),
+        reads=("fibres",),
     ),
     _Bound(
         "B3", "pal(n) <= (q+1)*n*maxswitch(n)",
@@ -803,29 +800,30 @@ def _admissible(
 
 
 class _AnyOrder:
-    """A per-length array of a profile read at any order, through its accessor."""
+    """A per-length array read at any order: past its end it holds past."""
 
-    __slots__ = ("at",)
+    __slots__ = ("array", "past")
 
-    def __init__(self, at: Callable[[int], int]) -> None:
-        self.at = at
+    def __init__(self, array: Sequence, past) -> None:
+        self.array, self.past = array, past
 
-    def __getitem__(self, n: int) -> int:
-        return self.at(n)
+    def __getitem__(self, n: int):
+        array = self.array
+        return array[n] if n < len(array) else self.past
 
 
 def _beyond(p: WordProfile) -> WordProfile:
     """p with its per-length arrays read at any order, past |w| too.
 
-    The table's columns and detail text index the arrays directly, which
-    reads the right values at every order up to |w|; this view reads them
-    through the *_at accessors instead, for explicit orders past |w|, at
-    the same cost at any order.
+    The table's columns and detail text index the arrays directly; this
+    view serves explicit orders past |w|, where there is no factor,
+    palindrome, switch or core and the running maxima keep their value at
+    |w|.  No bound reads closed there: _require_closed checks |w| first.
     """
     return replace(
-        p, fac=_AnyOrder(p.fac_at), pal=_AnyOrder(p.pal_at),
-        sw=_AnyOrder(p.sw_at), gamma_max=_AnyOrder(p.gamma_max_at),
-        pal_max=_AnyOrder(p.pal_max_at),
+        p, fac=_AnyOrder(p.fac, 0), pal=_AnyOrder(p.pal, 0),
+        sw=_AnyOrder(p.sw, 0), gamma_max=_AnyOrder(p.gamma_max, p.gamma_max[-1]),
+        pal_max=_AnyOrder(p.pal_max, p.pal_max[-1]), fibres=_AnyOrder(p.fibres, ()),
     )
 
 
@@ -881,10 +879,7 @@ def _bound_reports(
             return []
         lhs, rs = b.lhs(p, orders), repeat(None)
     else:
-        rows = [
-            (n, left, r)
-            for n in orders for r, left in sorted(_lpps_fibers(p, n).items())
-        ]
+        rows = [(n, left, r) for n in orders for r, left in p.fibres[n]]
         if not rows:
             if not explicit:
                 return []
@@ -1049,15 +1044,13 @@ def check_upsilon_bound(
     profile: Optional[WordProfile] = None,
 ) -> BoundReport:
     """B2: at most q(q-1) length-n switch cores share one lpps value r, n > 0."""
-    profile = profile or word_profile(w)
+    p = _explicit(profile or word_profile(w), ("B2",), (n,), force)
     b = _BOUNDS["B2"]
-    _check_order(b, profile, n)
-    covered = _require_rich(profile, force)
-    lhs = _lpps_fibers(profile, n).get(r.chars, 0)
-    rhs = b.rhs(profile, n)
+    lhs = dict(p.fibres[n]).get(r.chars, 0)
+    rhs = b.rhs(p, n)
     return BoundReport(
-        "B2", len(profile.word), n, profile.q, lhs, rhs, None, lhs <= rhs, None,
-        covered, b.citation, b.detail(profile, n, lhs, rhs, r.chars),
+        "B2", len(p.word), n, p.q, lhs, rhs, None, lhs <= rhs, None, p.rich,
+        b.citation, b.detail(p, n, lhs, rhs, r.chars),
     )
 
 
@@ -1143,14 +1136,11 @@ def diagnostic_trim_gamma_partition(
     """
     if n <= 2:
         raise ValueError("needs n > 2")
-    profile = word_profile(w)
-    _require_rich(profile, force)
-    q = profile.q
+    _require_rich(word_profile(w), force)
     long_side: set[Word] = set()
     short_side: set[Word] = set()
-    for chars in profile.cores_at(n - 2):
-        side = long_side if 2 * len(_lpps_chars(chars, q)) >= len(chars) else short_side
-        side.add(Word(chars, q))
+    for u in switch_cores(w, n):
+        (long_side if 2 * len(lpps(u)) >= len(u) else short_side).add(u)
     return frozenset(long_side), frozenset(short_side)
 
 
@@ -1212,7 +1202,7 @@ def _fold_columns(b: _Bound, p, L: int) -> tuple:
     """b's reports on a word of length L folded into a unit, building none.
 
     p holds the fields b reads, the per-length arrays of the word, as
-    WordProfile names them, except that a B2 "cores" is the sorted (n,
+    WordProfile names them, except that a B2 "fibres" is the sorted (n,
     size) pairs of its lpps fibres; B12 reads none, and p may be None.
     The table gives both sides as columns, with a (q, n)-only right-hand
     side from _RHS_MEMO, and each verdict is the integer comparison or
@@ -1223,8 +1213,8 @@ def _fold_columns(b: _Bound, p, L: int) -> tuple:
         ns = _orders(b, p, L)
         lhs = b.lhs(p, ns)
     else:
-        ns = [n for n, _ in p.cores]
-        lhs = [size for _, size in p.cores]
+        ns = [n for n, _ in p.fibres]
+        lhs = [size for _, size in p.fibres]
     if not ns:
         return _EMPTY
     if b.rich and not p.rich:
@@ -1289,8 +1279,8 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     weight to its signatures' totals.  The signatures are built from the
     carried arrays, and a new one is folded from them as columns
     (_fold_columns), with no report and no WordProfile built.  B2 reads
-    the cores only through the sizes of their lpps fibres, so its
-    signature is the sorted fibre sizes at each n.  Every unit, times its
+    its lpps fibres only through their sizes, so its signature is the
+    sorted fibre sizes at each n.  Every unit, times its
     total, is merged into its bound's unit at the end, or sooner once
     _UNITS_CAP signatures are held.  Counts are integers and the slack
     range takes min and max over the same values, so the result equals a
@@ -1433,8 +1423,7 @@ def sweep_rich(
     import time
 
     t0 = time.perf_counter()
-    if q < 1:
-        raise ValueError("alphabet size must be >= 1")
+    _check_alphabet(q)
     ids = tuple(b for b in BOUND_IDS if b in set(bound_ids))
     unknown = set(bound_ids) - set(BOUND_IDS)
     if unknown:

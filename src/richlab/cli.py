@@ -100,7 +100,7 @@ def analysis_report(w: Word) -> AnalysisReport:
         factor_counts=profile.fac,
         palindromic_counts=profile.pal,
         switch_counts=profile.sw,
-        max_switch_count=profile.gamma_max_at(len(w)),
+        max_switch_count=profile.gamma_max[len(w)],
         lps=four[0],
         lpp=four[1],
         lpps=four[2],
@@ -229,11 +229,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.emit:
+        # enumerate_rich checks its arguments when called, so a bad q
+        # leaves no file behind
+        by_length = [
+            enumerate_rich(args.q, n, canonical=args.canonical)
+            for n in range(args.max_len + 1)
+        ]
         counts = []
         with open(args.emit, "w", encoding="ascii") as fh:
-            for n in range(args.max_len + 1):
+            for words in by_length:
                 c = 0
-                for w in enumerate_rich(args.q, n, canonical=args.canonical):
+                for w in words:
                     fh.write(w.text + "\n")
                     c += 1
                 counts.append(c)

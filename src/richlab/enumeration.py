@@ -30,7 +30,7 @@ from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
 from .paltree import Eertree
-from .words import Word
+from .words import MAX_ALPHABET, Word
 
 DEFAULT_SHARD_PREFIX = 8
 
@@ -174,21 +174,30 @@ def _pool_map(fn, tasks: list, jobs: int, chunksize: int = 1) -> list:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
+def _check_alphabet(q: int) -> None:
+    """Raise unless q is an alphabet size a Word can have."""
+    if q < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if q > MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be <= {MAX_ALPHABET}")
+
+
 def enumerate_rich(
     q: int, n: int, canonical: bool = False
 ) -> Iterator[Word]:
     """All rich words of length n over {0..q-1}, in lexicographic order.
 
     canonical=True yields only least representatives up to letter renaming
-    (each next symbol at most one past the largest used so far).
+    (each next symbol at most one past the largest used so far).  The
+    arguments are checked when it is called, before the first word.
     """
-    if q < 1:
-        raise ValueError("alphabet size must be >= 1")
+    _check_alphabet(q)
     if n < 0:
         raise ValueError("length must be >= 0")
-    for word, _ in _walk(q, (), n, canonical):
-        if len(word) == n:
-            yield Word.from_symbols(word, q)
+    return (
+        Word.from_symbols(word, q)
+        for word, _ in _walk(q, (), n, canonical) if len(word) == n
+    )
 
 
 def _counts_below(
@@ -232,8 +241,7 @@ def rich_counts(
     with k letters stands for math.perm(q, k) rich words; canonical=True
     counts each orbit once instead.
     """
-    if q < 1:
-        raise ValueError("alphabet size must be >= 1")
+    _check_alphabet(q)
     if max_len < 0:
         raise ValueError("length must be >= 0")
     start = time.perf_counter()

@@ -263,11 +263,6 @@ def lpps(w: Word) -> Word:
     return _lpps_of(w.chars, w.alphabet_size)
 
 
-def _lpps_chars(chars: str, q: int) -> str:
-    """lpps(Word(chars, q)).chars, without building the argument Word."""
-    return _lpps_of(chars, q).chars if len(chars) > 1 else ""
-
-
 def lppp(w: Word) -> Word:
     """Longest proper palindromic prefix; empty for |w| <= 1."""
     return lpps(reverse(w))

@@ -7,7 +7,9 @@ prefix u down to a short fragment, palindromic closure, sentinel
 augmentation, and Rauzy graphs.
 
 Switches come from precomputed centre radii: at most one occurrence per
-centre, so listing every switch of a word is linear in its length.
+centre, so listing every switch of a word is linear in its length.  The
+word profiles of richlab.bounds find their switch counts another way, on
+an Eertree's suffix-link chain, and need no occurrences.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .records import SwitchPair, SwitchRecord
 from .words import MAX_ALPHABET, Word, is_palindrome, reverse
 
 
+# The switch queries over one word (one per length, pairs, core partitions)
+# share one pass; the result is shared, so callers must not mutate it.  The
+# queries come word by word, so a few entries suffice.
+@functools.lru_cache(maxsize=16)
 def _switch_starts(s: str) -> dict[int, list[int]]:
     """Start positions of the switch occurrences a·u·b of s (u nonempty), by length.
 
@@ -55,13 +61,6 @@ def _switch_starts(s: str) -> dict[int, list[int]]:
     return starts
 
 
-# The switch queries over one word (one per length, pairs, core partitions)
-# share one pass; the result is shared, so callers must not mutate it.  The
-# queries come word by word, so a few entries suffice; word_profile needs the
-# pass once per word and calls _switch_starts, so long words stay out.
-_cached_switch_starts = functools.lru_cache(maxsize=16)(_switch_starts)
-
-
 def complete_returns(w: Word, u: Word) -> frozenset[Word]:
     """Factors of w containing u exactly twice: as prefix and as suffix.
 
@@ -86,7 +85,7 @@ def complete_returns(w: Word, u: Word) -> frozenset[Word]:
 def _switch_records(s: str, q: int, n: int) -> frozenset[SwitchRecord]:
     # q is part of the key: Words compare by chars alone, but the cores
     # must carry the alphabet size of the word they came from
-    windows = {s[i : i + n] for i in _cached_switch_starts(s).get(n, ())}
+    windows = {s[i : i + n] for i in _switch_starts(s).get(n, ())}
     return frozenset(
         SwitchRecord(ord(x[0]), Word._trusted(x[1:-1], q), ord(x[-1])) for x in windows
     )
@@ -129,7 +128,7 @@ def max_switch_count(w: Word, n: int) -> int:
         [1]
         + [
             len({s[i : i + m] for i in starts})
-            for m, starts in _cached_switch_starts(s).items()
+            for m, starts in _switch_starts(s).items()
             if m <= n
         ]
     )

@@ -68,15 +68,14 @@ def test_word_profile_golden():
     assert p.fac[3] == 7 and p.fac[4] == 10
     assert p.pal[3] == 3 and p.pal[4] == 2
     assert p.closed[4] and not p.closed[5]
-    assert p.pal_max_at(4) == 3
-    assert p.gamma_max_at(0) == 1
-    assert p.closed_at(len(W3) + 5)  # beyond the word: vacuously closed
-    assert p.fac_at(0) == 1 and p.fac_at(99) == 0
-
-
-def test_word_profile_rejects_negative_order():
-    with pytest.raises(ValueError):
-        word_profile(W("01")).gamma_max_at(-1)
+    assert p.pal_max[4] == 3
+    assert p.gamma_max[0] == 1
+    assert p.fac[0] == 1
+    # past the end of the word: no factors, and the running maxima stay
+    past = bounds._beyond(p)
+    assert past.fac[99] == 0 and past.pal[99] == 0 and past.sw[99] == 0
+    assert past.pal_max[99] == p.pal_max[-1] and past.gamma_max[99] == p.gamma_max[-1]
+    assert past.fibres[99] == ()
 
 
 def _reference_profile(w):
@@ -85,7 +84,7 @@ def _reference_profile(w):
     L = len(s)
     fac, pal, sw = [1] + [0] * L, [1] + [0] * L, [0] * (L + 1)
     closed = [True] * (L + 1)
-    cores = [frozenset()] * (L + 1)
+    fibres = [()] * (L + 1)
     for n in range(1, L + 1):
         seen = {s[i : i + n] for i in range(L - n + 1)}
         switch_seen = {
@@ -97,7 +96,13 @@ def _reference_profile(w):
         sw[n] = len(switch_seen)
         closed[n] = all(t[::-1] in seen for t in seen)
         if n > 2:
-            cores[n - 2] = frozenset(t[1:-1] for t in switch_seen)
+            # B2's fibres: the cores grouped by lpps, their longest proper
+            # suffix that is a palindrome
+            suffixes = [
+                next(r for r in (u[j:] for j in range(1, len(u) + 1)) if r == r[::-1])
+                for u in {t[1:-1] for t in switch_seen}
+            ]
+            fibres[n - 2] = tuple(sorted((r, suffixes.count(r)) for r in set(suffixes)))
     gmax, pmax = [1] * (L + 1), [1] * (L + 1)
     for n in range(1, L + 1):
         gmax[n] = max(gmax[n - 1], sw[n])
@@ -112,7 +117,7 @@ def _reference_profile(w):
         gamma_max=tuple(gmax),
         pal_max=tuple(pmax),
         closed=tuple(closed),
-        cores=tuple(cores),
+        fibres=tuple(fibres),
     )
 
 
@@ -370,7 +375,7 @@ def test_b4_goldens():
     assert (rep.lhs, rep.rhs) == (16, 7**5 * 4 * 4 * 16)
     assert rep.holds
     for w in (W3, W37):
-        assert word_profile(w).gamma_max_at(2) == 1
+        assert word_profile(w).gamma_max[2] == 1
 
 
 # --- B5 / B6 / B7: log-domain family ---
@@ -445,8 +450,8 @@ def test_b9_spec_arithmetic_from_profile():
     with pytest.raises(ClosureRequiredError):
         check_factor_vs_palindrome_bound(W3, 4)
     p = word_profile(W3)
-    assert p.fac_at(4) == 10
-    assert 2 * 3 * p.pal_max_at(4) - 2 * 3 + p.q == 14
+    assert p.fac[4] == 10
+    assert 2 * 3 * p.pal_max[4] - 2 * 3 + p.q == 14
 
 
 def test_b9_trivial_order_one():
@@ -725,7 +730,7 @@ def test_evaluate_word_all_orders_all_bounds():
     b8_ns = sorted(r.n for r in reports if r.bound_id == "B8")
     p = word_profile(W3)
     assert b8_ns == [
-        n for n in range(1, len(W3)) if p.closed_at(n + 1)
+        n for n in range(1, len(W3)) if p.closed[n + 1]
     ]
 
 
@@ -1197,22 +1202,17 @@ class _RecordingProfile:
         self._profile, self._seen = profile, seen
 
     def __getattr__(self, name):
-        accessor = getattr(WordProfile, name, None)
-        if callable(accessor):
-            # run pal_at and the like on the proxy, so their reads count
-            return accessor.__get__(self)
         self._seen.add(name)
         return getattr(self._profile, name)
 
 
 def _signed_fields(profile):
-    """The fields of profile as a sweep signs them: B2's cores as fibre sizes."""
-    pairs = sorted(
-        (n, size) for n in range(len(profile.word) + 1)
-        for size in bounds._lpps_fibers(profile, n).values()
-    )
+    """The fields of profile as a sweep signs them: B2's fibres by their sizes."""
+    pairs = tuple(sorted(
+        (n, size) for n, fibres in enumerate(profile.fibres) for _, size in fibres
+    ))
     fields = {f.name: getattr(profile, f.name) for f in dataclasses.fields(WordProfile)}
-    return SimpleNamespace(**{**fields, "cores": tuple(pairs)})
+    return SimpleNamespace(**{**fields, "fibres": pairs})
 
 
 def test_bound_reads_declare_every_field_its_rows_read():
@@ -1238,6 +1238,22 @@ def test_bound_reads_declare_every_field_its_rows_read():
             assert folded - {"q", "rich"} == set(b.reads), b.bound_id
             # a per-length field fixes |w|, so the signature needs no length
             assert b.reads, b.bound_id
+
+
+def test_profiles_need_no_manacher_switch_pass(monkeypatch):
+    # word_profile and the carried profile find switches on the Eertree;
+    # the Manacher pass serves the switch queries of structures only
+    from richlab import structures
+
+    want_word = evaluate_word(W37, include_closure=True)
+    want_sweep = _summary_json(sweep_rich(2, 8))
+
+    def refuse(s):
+        raise AssertionError("ran the Manacher switch pass")
+
+    monkeypatch.setattr(structures, "_switch_starts", refuse)
+    assert evaluate_word(W37, include_closure=True) == want_word
+    assert _summary_json(sweep_rich(2, 8)) == want_sweep
 
 
 @pytest.mark.parametrize("ids", [("B12",), ()])

@@ -472,6 +472,36 @@ def test_empty_alphabet_is_a_usage_error(capsys, command):
     assert err == "error: alphabet size must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--q", "256", "--max-len", "2"], "alphabet size must be <= 255"),
+        (["enumerate", "--q", "256", "--max-len", "2"], "alphabet size must be <= 255"),
+        (["oracle-check", "--exhaustive-q", "256", "--exhaustive-max-len", "2"],
+         "alphabet size 256 outside 1..255"),
+    ],
+)
+def test_alphabet_past_the_largest_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "q, message", [("256", "must be <= 255"), ("0", "must be >= 1")]
+)
+def test_enumerate_emit_checks_the_alphabet_before_opening_its_file(
+    capsys, tmp_path, q, message
+):
+    target = tmp_path / "words.txt"
+    code, out, err = run(
+        capsys, ["enumerate", "--q", q, "--max-len", "2", "--emit", str(target)]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: alphabet size {message}\n"
+    assert not target.exists()
+
+
 def test_non_integer_flag_keeps_argparse_message(capsys):
     code, _, err = run(capsys, ["switches", "0110", "--n", "x"])
     assert code == 2
@@ -541,10 +571,16 @@ GOLDEN = Path(__file__).parent / "golden"
         (["sweep", "--q", "2", "--max-len", "8"], "sweep_q2_len8.json"),
         (["sweep", "--q", "3", "--max-len", "5", "--csv"], "sweep_q3_len5.csv"),
         (["verify", W3, "--with-closure"], "verify_w3_closure.json"),
+        # several B2 fibres per order: the detail text and the order by r
+        (["verify", "5112211311001131133114"], "verify_wu.json"),
+        (["verify", "--force", "00101100110100"], "verify_witness_force.json"),
+        (["analyze", "00101100110100"], "analyze_witness.json"),
     ],
 )
 def test_stdout_matches_recorded_golden(capsys, argv, name):
-    # recorded from the report-building sweep that the profile fold replaced
+    # the sweeps were recorded from the report-building sweep that the
+    # profile fold replaced, the verify and analyze outputs from the profile
+    # that found switches with Manacher radii
     code, out, _ = run(capsys, argv)
-    assert code == 0
+    assert code == int('"holds": false' in out)  # 1 exactly when a report fails
     assert out.encode() == (GOLDEN / name).read_bytes()
