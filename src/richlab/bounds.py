@@ -20,8 +20,9 @@ size of its letter orbit, and folds the columns straight into per-bound
 units (_fold_columns), building a BoundReport only for a violation; B12
 reads no word, so it is folded once per sweep.
 It carries the profile down the walk (_CarriedProfile), one letter
-pushed or popped at a time, instead of profiling each word; both
-profiles find switches with one step on the Eertree, _new_cores.  Each table
+pushed or popped at a time, instead of profiling each word.  Both
+profiles, and the switch queries of richlab.structures, find switches
+with the one Eertree step that module holds, _new_cores.  Each table
 entry names the profile fields it reads, so the sweep folds a bound once
 per distinct (bound, fields) and adds up the weights of the words that
 share them; the sums are exact.  B2's signature, and its left-hand
@@ -49,9 +50,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import mpmath
 
 from .enumeration import DEFAULT_SHARD_PREFIX, _check_alphabet, _orbit, _sharded, _walk
-from .paltree import Eertree, lpps
+from .paltree import Eertree, is_rich
 from .records import from_json_fields, json_fields
-from .structures import switch_cores
+from .structures import (
+    _closure_chars, _first_switches, _new_cores, _suffix_automaton, _switch_table,
+)
 from .words import Word
 
 BOUND_IDS = (
@@ -158,66 +161,6 @@ class WordProfile:
     lps_length = None  # |lps(word)|, set by word_profile; not a field
 
 
-def _suffix_automaton(s: str) -> tuple[list[int], list[int], list[dict], list[int]]:
-    """State lengths, suffix links and transitions of the suffix automaton of s,
-    and for each i the length of the longest suffix of s[:i+1] in F(s[:i]).
-
-    State 0 is the root; every other state v stands for the factors of s
-    with lengths length[link[v]]+1 .. length[v] that share one end set.
-    """
-    length, link, nxt, earlier = [0], [-1], [{}], []
-    last = 0
-    for c in s:
-        cur = len(length)
-        length.append(length[last] + 1)
-        link.append(0)
-        nxt.append({})
-        p = last
-        while p != -1 and c not in nxt[p]:
-            nxt[p][c] = cur
-            p = link[p]
-        if p != -1:
-            r = nxt[p][c]
-            if length[p] + 1 == length[r]:
-                link[cur] = r
-            else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[r])
-                nxt.append(nxt[r].copy())
-                while p != -1 and nxt[p].get(c) == r:
-                    nxt[p][c] = clone
-                    p = link[p]
-                link[r] = link[cur] = clone
-        earlier.append(length[link[cur]])
-        last = cur
-    return length, link, nxt, earlier
-
-
-def _new_cores(tree: Eertree, s: str, i: int, m: int) -> list[int]:
-    """The core nodes of the switches that appending s[i] to s[:i] makes new.
-
-    tree holds s[:i]; m is the length of the longest suffix of s[:i+1]
-    that occurs in s[:i].  A new switch a·u·s[i] is longer than m, and its
-    core u is a nonempty palindromic suffix of s[:i] (on the suffix-link
-    chain of its lps) preceded by a letter a != s[i].
-    """
-    length, link = tree.node_length, tree.suffix_link
-    c = s[i]
-    x = tree.last_node()
-    n = length(x)
-    if n == i:  # s[:i] is a palindrome: no letter precedes it
-        x = link(x)
-        n = length(x)
-    cores = []
-    while n > 0 and n + 2 > m:
-        if s[i - n - 1] != c:
-            cores.append(x)
-        x = link(x)
-        n = length(x)
-    return cores
-
-
 def word_profile(w: Word) -> WordProfile:
     """Per-length statistics of w from three passes of O(|w|) steps each.
 
@@ -225,10 +168,10 @@ def word_profile(w: Word) -> WordProfile:
     closed: F(w,n) is reversal-closed iff every length-n factor of
     reverse(w) occurs in w, read off the matching statistics of reverse(w)
     against the same automaton.  pal, rich, lps_length: one Eertree run.
-    sw and fibres: _new_cores at each letter of that run, given the longest
-    earlier suffix that the automaton records.  A new core u's lpps is the
-    suffix link of u's node, a suffix of the word read so far, sliced out
-    in C.
+    sw and fibres: the distinct switches that _first_switches lists on that
+    run, given the longest earlier suffixes that the automaton records.  A
+    new core u's lpps is the suffix link of u's node, a suffix of the word
+    read so far, sliced out in C.
     """
     s = w.chars
     L = len(s)
@@ -258,15 +201,13 @@ def word_profile(w: Word) -> WordProfile:
     sw = [0] * (L + 1)
     known = bytearray(L + 2)  # known[x]: node x was met as a core
     fibres: dict[tuple[int, str], int] = {}  # (|u|, lpps chars) -> its cores
-    for i, c in enumerate(w):
-        for x in _new_cores(tree, s, i, earlier[i]):
-            n = node_length(x)
-            sw[n + 2] += 1
-            if not known[x]:
-                known[x] = 1
-                key = (n, s[i - node_length(suffix_link(x)) : i])
-                fibres[key] = fibres.get(key, 0) + 1
-        tree.append(c)
+    for i, x in _first_switches(tree, s, earlier):
+        n = node_length(x)
+        sw[n + 2] += 1
+        if not known[x]:
+            known[x] = 1
+            key = (n, s[i - node_length(suffix_link(x)) : i])
+            fibres[key] = fibres.get(key, 0) + 1
     pal = [1] + [0] * L
     for node in range(2, tree.node_count):
         pal[node_length(node)] += 1
@@ -458,14 +399,12 @@ class _CarriedProfile:
         )
 
 
-def _require_rich(profile: WordProfile, force: bool) -> bool:
-    """Returns the covered flag; raises unless rich or forced."""
-    if profile.rich:
-        return True
+def _require_rich(w: Word, force: bool) -> bool:
+    """The covered flag of w, a word that is not rich: False if forced, else raise."""
     if force:
         return False
     raise RichnessRequiredError(
-        f"word {profile.word.text!r} is not rich; pass force=True to evaluate anyway"
+        f"word {w.text!r} is not rich; pass force=True to evaluate anyway"
     )
 
 
@@ -885,7 +824,7 @@ def _bound_reports(
                 return []
             rows = [(orders[0], 0, "")]
         orders, lhs, rs = zip(*rows)
-    covered = not b.rich or p.rich or _require_rich(p, force)
+    covered = not b.rich or p.rich or _require_rich(p.word, force)
     if not b.by_order:
         values = b.rhs(p, orders)
     elif explicit:
@@ -930,7 +869,7 @@ def _explicit(
                 raise ValueError(f"unknown bound {bound_id!r}")
             _check_order(b, p, n)
             if b.rich and not p.rich:
-                _require_rich(p, force)
+                _require_rich(p.word, force)
     if p is not None and ns and max(ns) > len(p.word.chars):
         return _beyond(p)
     return p
@@ -1007,11 +946,6 @@ def _word_rows(
                 closure_ids = _admissible(closure_ids, cp, ns, {})
             parts.append(_rows(cp, [closure_ids], ns, force))
     return chain.from_iterable(parts)
-
-
-def _closure_chars(s: str, lps_length: int) -> str:
-    """The palindromic closure of s: s, then the part before its lps reversed."""
-    return s + s[: len(s) - lps_length][::-1]
 
 
 def _check(
@@ -1136,11 +1070,14 @@ def diagnostic_trim_gamma_partition(
     """
     if n <= 2:
         raise ValueError("needs n > 2")
-    _require_rich(word_profile(w), force)
+    if not is_rich(w):
+        _require_rich(w, force)
+    s, q = w.chars, w.alphabet_size
     long_side: set[Word] = set()
     short_side: set[Word] = set()
-    for u in switch_cores(w, n):
-        (long_side if 2 * len(lpps(u)) >= len(u) else short_side).add(u)
+    for i, lpps_length in _switch_table(s).get(n, ()):
+        u = Word._trusted(s[i - n + 2 : i], q)
+        (long_side if 2 * lpps_length >= len(u) else short_side).add(u)
     return frozenset(long_side), frozenset(short_side)
 
 
@@ -1218,7 +1155,7 @@ def _fold_columns(b: _Bound, p, L: int) -> tuple:
     if not ns:
         return _EMPTY
     if b.rich and not p.rich:
-        _require_rich(p, False)
+        _require_rich(p.word, False)
     log2 = math.log2
     equalities = 0
     if b.by_order:

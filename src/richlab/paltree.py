@@ -259,7 +259,7 @@ def lpps(w: Word) -> Word:
     """Longest proper palindromic suffix; empty for |w| <= 1."""
     if len(w) <= 1:
         return Word("", w.alphabet_size)
-    # Switch-core partitions ask for the same short cores over and over.
+    # A cross-check asks for the lpps of the same short switch cores over and over.
     return _lpps_of(w.chars, w.alphabet_size)
 
 

@@ -6,59 +6,114 @@ compression map that squeezes a palindrome v with a long palindromic
 prefix u down to a short fragment, palindromic closure, sentinel
 augmentation, and Rauzy graphs.
 
-Switches come from precomputed centre radii: at most one occurrence per
-centre, so listing every switch of a word is linear in its length.  The
-word profiles of richlab.bounds find their switch counts another way, on
-an Eertree's suffix-link chain, and need no occurrences.
+Every switch comes from one step on an append-only Eertree, _new_cores:
+appending a letter makes new exactly the switches a·u·b that end there
+and are longer than the longest suffix seen before, read off the
+suffix-link chain with no strings.  The word profiles of richlab.bounds
+and the switch queries here share that step; the queries list each
+distinct switch once, at its first occurrence (_first_switches).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
-from .paltree import _tree_of, lpps
+from .paltree import Eertree, _tree_of
 from .records import SwitchPair, SwitchRecord
-from .words import MAX_ALPHABET, Word, is_palindrome, reverse
+from .words import MAX_ALPHABET, Word, is_palindrome
 
 
-# The switch queries over one word (one per length, pairs, core partitions)
-# share one pass; the result is shared, so callers must not mutate it.  The
-# queries come word by word, so a few entries suffice.
-@functools.lru_cache(maxsize=16)
-def _switch_starts(s: str) -> dict[int, list[int]]:
-    """Start positions of the switch occurrences a·u·b of s (u nonempty), by length.
+def _suffix_automaton(s: str) -> tuple[list[int], list[int], list[dict], list[int]]:
+    """State lengths, suffix links and transitions of the suffix automaton of s,
+    and for each i the length of the longest suffix of s[:i+1] in F(s[:i]).
 
-    A palindrome between two different letters cannot be extended at its
-    centre, so it is the maximal one there: each of the 2|s|-1 centres
-    holds at most one switch occurrence, read off Manacher's radii in
-    O(|s|) steps.
+    State 0 is the root; every other state v stands for the factors of s
+    with lengths length[link[v]]+1 .. length[v] that share one end set.
     """
-    n = len(s)
-    starts: dict[int, list[int]] = {}
-    d1 = [0] * n
-    l, r = 0, -1
-    for i in range(n):
-        k = 1 if i > r else min(d1[l + r - i], r - i + 1)
-        while i - k >= 0 and i + k < n and s[i - k] == s[i + k]:
-            k += 1
-        d1[i] = k
-        if i + k - 1 > r:
-            l, r = i - k + 1, i + k - 1
-        if k <= i and i + k < n:  # s[i-k+1 .. i+k-1] has a letter each side
-            starts.setdefault(2 * k + 1, []).append(i - k)
-    d2 = [0] * n
-    l, r = 0, -1
-    for i in range(n):
-        k = 0 if i > r else min(d2[l + r - i + 1], r - i + 1)
-        while i - k - 1 >= 0 and i + k < n and s[i - k - 1] == s[i + k]:
-            k += 1
-        d2[i] = k
-        if i + k - 1 > r:
-            l, r = i - k, i + k - 1
-        if 0 < k < i and i + k < n:  # s[i-k .. i+k-1] has a letter each side
-            starts.setdefault(2 * k + 2, []).append(i - k - 1)
-    return starts
+    length, link, nxt, earlier = [0], [-1], [{}], []
+    last = 0
+    for c in s:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        nxt.append({})
+        p = last
+        while p != -1 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p != -1:
+            r = nxt[p][c]
+            if length[p] + 1 == length[r]:
+                link[cur] = r
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[r])
+                nxt.append(nxt[r].copy())
+                while p != -1 and nxt[p].get(c) == r:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[r] = link[cur] = clone
+        earlier.append(length[link[cur]])
+        last = cur
+    return length, link, nxt, earlier
+
+
+def _new_cores(tree: Eertree, s: str, i: int, m: int) -> list[int]:
+    """The core nodes of the switches that appending s[i] to s[:i] makes new.
+
+    tree holds s[:i]; m is the length of the longest suffix of s[:i+1]
+    that occurs in s[:i].  A new switch a·u·s[i] is longer than m, and its
+    core u is a nonempty palindromic suffix of s[:i] (on the suffix-link
+    chain of its lps) preceded by a letter a != s[i].
+    """
+    length, link = tree.node_length, tree.suffix_link
+    c = s[i]
+    x = tree.last_node()
+    n = length(x)
+    if n == i:  # s[:i] is a palindrome: no letter precedes it
+        x = link(x)
+        n = length(x)
+    cores = []
+    while n > 0 and n + 2 > m:
+        if s[i - n - 1] != c:
+            cores.append(x)
+        x = link(x)
+        n = length(x)
+    return cores
+
+
+def _first_switches(
+    tree: Eertree, s: str, earlier: list[int]
+) -> Iterator[tuple[int, int]]:
+    """(i, x) for each distinct switch of s: its first occurrence ends at i
+    and its core is the node x, whose suffix link is the core's lpps.
+
+    The pass appends s to tree, which must start empty, one letter after
+    each step; earlier is _suffix_automaton's fourth result.  Nothing is
+    popped, so every node x stays valid, and the tree holds s at the end.
+    """
+    for i, c in enumerate(s):
+        for x in _new_cores(tree, s, i, earlier[i]):
+            yield i, x
+        tree.append(ord(c))
+
+
+# The switch queries over one word (one per length, pairs, cores, lpps
+# classes, the largest count) share one pass; the result is shared, so
+# callers must not mutate it.  The queries come word by word, so a few
+# entries suffice.
+@functools.lru_cache(maxsize=16)
+def _switch_table(s: str) -> dict[int, list[tuple[int, int]]]:
+    """Per switch length n, each distinct switch of s as (end, |lpps(core)|)."""
+    tree = Eertree()
+    length, link = tree.node_length, tree.suffix_link
+    table: dict[int, list[tuple[int, int]]] = {}
+    for i, x in _first_switches(tree, s, _suffix_automaton(s)[3]):
+        table.setdefault(length(x) + 2, []).append((i, length(link(x))))
+    return table
 
 
 def complete_returns(w: Word, u: Word) -> frozenset[Word]:
@@ -85,9 +140,9 @@ def complete_returns(w: Word, u: Word) -> frozenset[Word]:
 def _switch_records(s: str, q: int, n: int) -> frozenset[SwitchRecord]:
     # q is part of the key: Words compare by chars alone, but the cores
     # must carry the alphabet size of the word they came from
-    windows = {s[i : i + n] for i in _switch_starts(s).get(n, ())}
     return frozenset(
-        SwitchRecord(ord(x[0]), Word._trusted(x[1:-1], q), ord(x[-1])) for x in windows
+        SwitchRecord(ord(s[i - n + 1]), Word._trusted(s[i - n + 2 : i], q), ord(s[i]))
+        for i, _ in _switch_table(s).get(n, ())
     )
 
 
@@ -100,11 +155,9 @@ def switches(w: Word, n: int) -> frozenset[SwitchRecord]:
 
 def switch_pairs(w: Word, n: int) -> frozenset[SwitchPair]:
     """Core/letter pairs (u, a): both end letters of every switch count."""
-    out = set()
-    for rec in switches(w, n):
-        out.add(SwitchPair(rec.core, rec.left))
-        out.add(SwitchPair(rec.core, rec.right))
-    return frozenset(out)
+    return frozenset(
+        SwitchPair(rec.core, a) for rec in switches(w, n) for a in (rec.left, rec.right)
+    )
 
 
 def switch_cores(w: Word, n: int) -> frozenset[Word]:
@@ -114,8 +167,11 @@ def switch_cores(w: Word, n: int) -> frozenset[Word]:
 
 def cores_with_lpps(w: Word, n: int, r: Word) -> frozenset[Word]:
     """Length-n switch cores whose longest proper palindromic suffix is r."""
+    s, q, k = w.chars, w.alphabet_size, len(r)
     return frozenset(
-        u for u in switch_cores(w, n + 2) if lpps(u).chars == r.chars
+        Word._trusted(s[i - n : i], q)
+        for i, lpps_length in _switch_table(s).get(n + 2, ())
+        if lpps_length == k and s[i - k : i] == r.chars
     )
 
 
@@ -123,15 +179,8 @@ def max_switch_count(w: Word, n: int) -> int:
     """Largest switch-set size over lengths up to n, floored at 1."""
     if n < 0:
         raise ValueError("length bound must be >= 0")
-    s = w.chars
-    return max(
-        [1]
-        + [
-            len({s[i : i + m] for i in starts})
-            for m, starts in _switch_starts(s).items()
-            if m <= n
-        ]
-    )
+    # each distinct switch is listed once, so a length's count is its list's size
+    return max([1] + [len(v) for m, v in _switch_table(w.chars).items() if m <= n])
 
 
 class CompressionDomainError(ValueError):
@@ -233,13 +282,16 @@ def pal_reconstruct(fragment: Word, v_length: int) -> Word:
     return v
 
 
+def _closure_chars(s: str, lps_length: int) -> str:
+    """The palindromic closure of s: s, then the part before its lps reversed."""
+    return s + s[: len(s) - lps_length][::-1]
+
+
 def palindromic_closure(w: Word) -> Word:
     """Shortest palindrome with w as a prefix: w followed by reverse(p), w = p·lps(w)."""
-    if len(w) == 0:
-        return w
     tree = _tree_of(w.chars)
-    p_len = len(w) - tree.node_length(tree.last_node())  # the last node is lps(w)
-    return Word(w.chars + w.chars[:p_len][::-1], w.alphabet_size)
+    lps_length = tree.node_length(tree.last_node())  # the last node is lps(w)
+    return Word(_closure_chars(w.chars, lps_length), w.alphabet_size)
 
 
 def sentinel_augment(w: Word) -> Word:

@@ -1240,22 +1240,6 @@ def test_bound_reads_declare_every_field_its_rows_read():
             assert b.reads, b.bound_id
 
 
-def test_profiles_need_no_manacher_switch_pass(monkeypatch):
-    # word_profile and the carried profile find switches on the Eertree;
-    # the Manacher pass serves the switch queries of structures only
-    from richlab import structures
-
-    want_word = evaluate_word(W37, include_closure=True)
-    want_sweep = _summary_json(sweep_rich(2, 8))
-
-    def refuse(s):
-        raise AssertionError("ran the Manacher switch pass")
-
-    monkeypatch.setattr(structures, "_switch_starts", refuse)
-    assert evaluate_word(W37, include_closure=True) == want_word
-    assert _summary_json(sweep_rich(2, 8)) == want_sweep
-
-
 @pytest.mark.parametrize("ids", [("B12",), ()])
 def test_sweep_without_word_bounds_profiles_no_word(monkeypatch, ids):
     reference = _exact(_per_word_summary(2, 8, ids, True))

@@ -16,6 +16,8 @@ from richlab.words import Word
 
 W3 = "1100100010011001010"
 WG = "5112211311001131133114111146"
+W37 = "2110112333211011454110116110116778776"
+TRIBONACCI = "010201001020101020100102"
 WITNESS = "00101100110100"  # non-rich palindrome; forced B9 fails at n=4
 
 
@@ -575,12 +577,18 @@ GOLDEN = Path(__file__).parent / "golden"
         (["verify", "5112211311001131133114"], "verify_wu.json"),
         (["verify", "--force", "00101100110100"], "verify_witness_force.json"),
         (["analyze", "00101100110100"], "analyze_witness.json"),
+        # the switches command: even cores, one core in two switches, and a
+        # q3 Tribonacci prefix at two core lengths
+        (["switches", WG, "--n", "8"], "switches_wg_n8.jsonl"),
+        (["switches", W37, "--n", "7"], "switches_w37_n7.jsonl"),
+        (["switches", TRIBONACCI, "--n", "5"], "switches_tribonacci_n5.jsonl"),
+        (["switches", TRIBONACCI, "--n", "9"], "switches_tribonacci_n9.jsonl"),
     ],
 )
 def test_stdout_matches_recorded_golden(capsys, argv, name):
     # the sweeps were recorded from the report-building sweep that the
-    # profile fold replaced, the verify and analyze outputs from the profile
-    # that found switches with Manacher radii
+    # profile fold replaced; the verify, analyze and switches outputs from
+    # code that found switches with a second algorithm, Manacher's radii
     code, out, _ = run(capsys, argv)
     assert code == int('"holds": false' in out)  # 1 exactly when a report fails
     assert out.encode() == (GOLDEN / name).read_bytes()

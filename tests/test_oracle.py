@@ -142,14 +142,41 @@ def test_length_cap_is_checked_before_the_switch_memo(monkeypatch):
             call()
 
 
-def test_oracle_module_is_independent_of_fast_paths():
-    # the reference side must not import the code it is checking
-    src = pathlib.Path("src/richlab/oracle.py").read_text()
+def _richlab_imports(module: str) -> set[str]:
+    """The richlab modules that module imports anywhere, function bodies too."""
+    src = pathlib.Path(f"src/richlab/{module}.py").read_text()
     names = set()
     for node in ast.walk(ast.parse(src)):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            names.add(node.module)
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:
+                if base != "richlab" and not base.startswith("richlab."):
+                    continue
+                base = base[len("richlab.") :]
+            if base:
+                names.add(base.split(".")[0])
+            else:  # from . import x
+                names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-    assert names & {"paltree", "structures", "enumeration", "bounds"} == set()
-    assert "words" in names and "records" in names
+            names.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("richlab.")
+            )
+    return names
+
+
+@pytest.mark.parametrize(
+    "module,forbidden,needed",
+    [
+        # the reference side must not import the code it is checking
+        ("oracle", {"paltree", "structures", "enumeration", "bounds"}, {"words", "records"}),
+        # the switch step lives in structures; bounds builds on it, not back
+        ("structures", {"bounds", "enumeration", "crosscheck", "cli"}, {"paltree"}),
+    ],
+    ids=["oracle", "structures"],
+)
+def test_module_stays_below_the_layers_it_must_not_import(module, forbidden, needed):
+    names = _richlab_imports(module)
+    assert names & forbidden == set()
+    assert needed <= names
