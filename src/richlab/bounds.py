@@ -9,24 +9,32 @@ right-hand side is an exact integer or, when the value is astronomically
 large, its base-2 logarithm with a high-precision thunk; one that depends
 only on (q, n) is given one order at a time, rhs(p, n), and computed once
 per (q, n) in a process: _RHS_MEMO keeps its value and float log2, not the
-thunk, for every order up to the longest word met so far.
+thunk, for every order up to the longest word met so far.  Beside them it
+keeps the detail text of B5-B7, B10 and B11, which reads only that value,
+and B12's reports whole, which read n alone, so every word shares them.
 
 evaluate_word and the check_* wrappers build each bound's BoundReports
 straight from its two columns (_bound_reports), with the exact left-hand
-side.  An explicit order computes its right-hand side afresh, grows no
-memo column, and past |w| reads the arrays through _AnyOrder views
-(_beyond).  sweep_rich walks every canonical rich word, weighted by the
-size of its letter orbit, and folds the columns straight into per-bound
-units (_fold_columns), building a BoundReport only for a violation; B12
-reads no word, so it is folded once per sweep.
-It carries the profile down the walk (_CarriedProfile), one letter
-pushed or popped at a time, instead of profiling each word.  Both
-profiles, and the switch queries of richlab.structures, find switches
-with the one Eertree step that module holds, _new_cores.  Each table
-entry names the profile fields it reads, so the sweep folds a bound once
-per distinct (bound, fields) and adds up the weights of the words that
-share them; the sums are exact.  B2's signature, and its left-hand
-column, is the sorted sizes of its lpps fibres at each n.
+side.  An explicit order computes its right-hand side afresh, reads and
+grows no memo column, and past |w| reads the arrays through _AnyOrder
+views (_beyond).  A palindromic closure, whose B8/B9 reports evaluate_word
+and the sweep add, is profiled by one function, _closure_profile: a
+palindrome's factor sets are closed under reversal at every order, and
+B8/B9 read no switch, so it needs only the closure's suffix automaton and
+an Eertree extended by the letters the closure adds.
+
+sweep_rich walks every canonical rich word, weighted by the size of its
+letter orbit, and folds the columns straight into per-bound units
+(_fold_columns), building a BoundReport only for a violation; B12 reads
+no word, so it is folded once per sweep.  It carries the profile down
+the walk (_CarriedProfile), one letter pushed or popped at a time,
+instead of profiling each word.  Both profiles, and the switch queries of
+richlab.structures, find switches with the one Eertree step that module
+holds, _new_cores.  Each table entry names the profile fields it reads,
+so the sweep folds a bound once per distinct (bound, fields) and adds up
+the weights of the words that share them; the sums are exact.  B2's
+signature, and its left-hand column, is the sorted sizes of its lpps
+fibres at each n.
 
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
@@ -142,8 +150,8 @@ class BoundReport:
 class WordProfile:
     """Per-length statistics of one word, computed by word_profile.
 
-    sw, gamma_max and fibres are None in the profile of a closure taken by
-    _CarriedProfile.closure_profile.
+    sw, gamma_max and fibres are None in the profile of a palindromic
+    closure, which _closure_profile computes.
     """
 
     word: Word
@@ -172,6 +180,9 @@ def word_profile(w: Word) -> WordProfile:
     run, given the longest earlier suffixes that the automaton records.  A
     new core u's lpps is the suffix link of u's node, a suffix of the word
     read so far, sliced out in C.
+
+    A palindromic closure is never profiled here: _closure_profile needs
+    only its suffix automaton and an Eertree.
     """
     s = w.chars
     L = len(s)
@@ -239,6 +250,35 @@ def _factor_counts(length: list[int], link: list[int], L: int) -> tuple[int, ...
     delta[0] = 1  # the empty factor
     delta[1] -= 1
     return tuple(accumulate(delta[: L + 1]))
+
+
+def _closure_profile(c: str, q: int, tree: Eertree, pal: list[int]) -> WordProfile:
+    """The profile of c, a palindromic closure, less switches.
+
+    tree holds a prefix of c and pal counts that prefix's palindromes per
+    length: the sweep passes its carried tree and counts, _word_rows a
+    fresh tree and [1].  pal and rich: tree is extended by the rest of c,
+    read, and popped back, so the caller finds it as it was.  fac: c's
+    suffix automaton, as in word_profile.  closed: all True, since the
+    factors of a palindrome are closed under reversal.  sw, gamma_max and
+    fibres are None: a closure's B8/B9 reports read none of them.
+    """
+    L = len(c)
+    tail = c[len(tree) :]
+    pal = pal + [0] * len(tail)
+    append, length, last = tree.append, tree.node_length, tree.last_node
+    for ch in tail:
+        if append(ord(ch)):
+            pal[length(last())] += 1
+    rich = tree.distinct_nonempty == L
+    for _ in tail:
+        tree.pop()
+    length, link, _, _ = _suffix_automaton(c)
+    return WordProfile(
+        Word._trusted(c, q), q, rich, _factor_counts(length, link, L),
+        tuple(pal), None, None, tuple(accumulate(pal, max)), (True,) * (L + 1),
+        None,
+    )
 
 
 # Each profile field the table reads, as one hashable value built from the
@@ -376,27 +416,10 @@ class _CarriedProfile:
     def closure_profile(self, c: str) -> WordProfile:
         """The profile of c, the palindromic closure of the word, less switches.
 
-        pal: the carried Eertree holds the word already, so it is extended
-        by the letters c adds, read and cut back.  closed: the factors of a
-        palindrome are closed under reversal.  fac: the suffix automaton, as
-        in word_profile.  sw, gamma_max and fibres are None: a closure's
-        B8/B9 reports read none of them.
+        The carried Eertree and palindrome counts hold the word already, so
+        _closure_profile extends them by the letters c adds only.
         """
-        tree, q, L = self.tree, self.q, len(c)
-        tail = c[len(self) :]
-        pal = self.pal + [0] * len(tail)
-        for ch in tail:
-            if tree.append(ord(ch)):
-                pal[tree.node_length(tree.last_node())] += 1
-        rich = tree.distinct_nonempty == L
-        for _ in tail:
-            tree.pop()
-        length, link, _, _ = _suffix_automaton(c)
-        return WordProfile(
-            Word._trusted(c, q), q, rich, _factor_counts(length, link, L),
-            tuple(pal), None, None, tuple(accumulate(pal, max)), (True,) * (L + 1),
-            None,
-        )
+        return _closure_profile(c, self.q, self.tree, self.pal)
 
 
 def _require_rich(w: Word, force: bool) -> bool:
@@ -766,29 +789,48 @@ def _beyond(p: WordProfile) -> WordProfile:
     )
 
 
-# The (q, n)-only right-hand sides met so far in this process.  Key (b.rhs,
-# q) holds one column: entry n is b.rhs(p, n) at that q (entry 0 is None),
-# with numbers only, its high-precision thunk dropped (hp=None), so an
-# escalation builds b.rhs(p, n) again.  Keyed on the callable itself, the
-# column is never read for another right-hand side, such as a bound that
-# dataclasses.replace gave a new rhs.  It grows to the longest word a
-# caller walks; an explicit order never reads or grows it.
+# The (q, n)-only state met so far in this process, as columns whose entry
+# n is for order n (entry 0 is None).  Each key starts with a bound's rhs
+# callable, so a bound that dataclasses.replace gave a new rhs never reads
+# another's columns:
+# - (b.rhs, q): b.rhs(p, n) at that q, numbers only, its high-precision
+#   thunk dropped (hp=None), so an escalation builds b.rhs(p, n) again;
+#   B12 reads no q, and its q is None;
+# - (b.rhs, q, b.detail): the report detail of B5-B7, B10 and B11, a text
+#   that reads only that right-hand side (_VALUE_DETAILS);
+# - (b.rhs, None, BoundReport): B12's reports, which read n alone, so
+#   every word shares the same frozen objects.
+# The columns grow to the longest word a caller walks; an explicit order
+# never reads or grows them.
 _RHS_MEMO: dict[tuple, list] = {}
+
+# report details that read only the (q, n)-only right-hand side
+_VALUE_DETAILS = (_log_detail, _approx_log_detail)
+
+
+def _memo(key: tuple, top: int, entries: Callable) -> list:
+    """The _RHS_MEMO column under key, holding orders 0..top at least;
+    entries(ns) lists its entries at the orders ns it lacks."""
+    column = _RHS_MEMO.get(key)
+    if column is None:
+        column = _RHS_MEMO[key] = [None]
+    if len(column) <= top:
+        column += entries(range(len(column), top + 1))
+    return column
 
 
 def _column(b: _Bound, p, top: int) -> list:
     """b's (q, n)-only right-hand sides at orders 0..top, at least (see _RHS_MEMO)."""
     rhs = b.rhs
-    key = (rhs, p.q if b.reads else None)  # B12 reads no q either
-    column = _RHS_MEMO.get(key)
-    if column is None:
-        column = _RHS_MEMO[key] = [None]
-    while len(column) <= top:
-        value = rhs(p, len(column))
-        if value.__class__ is not int:
-            value = _Rhs(value.exact, value.log2, None)
-        column.append(value)
-    return column
+
+    def entries(ns: range) -> list:
+        # each thunk, a closure the collector tracks, is dropped at once
+        return [
+            v if v.__class__ is int else _Rhs(v.exact, v.log2, None)
+            for v in map(rhs, repeat(p), ns)
+        ]
+
+    return _memo((rhs, p.q if b.reads else None), top, entries)  # B12 reads no q either
 
 
 def _rebuilt_hp(b: _Bound, p, n: int):
@@ -803,16 +845,25 @@ def _bound_reports(
     """b's reports on p's word at each order, in order.
 
     Every bound but B2 gives one report per order.  B2 gives one per lpps
-    value r of the order's switch cores.  A (q, n)-only right-hand side
-    comes from _RHS_MEMO, except at an explicit order: the one order the
-    caller gives, checked already, at which B2 with no switch cores still
-    reports the empty value.  A log-domain verdict that escalates rebuilds
-    its thunk from b.rhs.  The richness check runs only if b has a report.
+    value r of the order's switch cores.  A (q, n)-only right-hand side,
+    the text of a detail in _VALUE_DETAILS and B12's reports whole come
+    from _RHS_MEMO, except at explicit orders, checked already, whose
+    right-hand sides are computed afresh: the caller's own order, at which
+    B2 with no switch cores still reports the empty value, or the orders
+    that B12's memo column lacks.  A log-domain verdict that escalates
+    rebuilds its thunk from b.rhs.  The richness check runs only if b has
+    a report.
     """
     if b.reads:
         L, q = len(p.word.chars), p.q
-    else:
+    elif explicit:
         L = q = None  # B12 reads no word
+    else:
+        shared = _memo(
+            (b.rhs, None, BoundReport), orders[-1],
+            lambda ns: _bound_reports(b, p, ns, force, True),
+        )
+        return [shared[n] for n in orders]
     if b.lhs is not None:
         if not orders:
             return []
@@ -825,13 +876,21 @@ def _bound_reports(
             rows = [(orders[0], 0, "")]
         orders, lhs, rs = zip(*rows)
     covered = not b.rich or p.rich or _require_rich(p.word, force)
+    detail = b.detail
     if not b.by_order:
         values = b.rhs(p, orders)
     elif explicit:
-        values = repeat(b.rhs(p, orders[0]))
+        values = map(b.rhs, repeat(p), orders)  # one thunk alive at a time
     else:
-        values = map(_column(b, p, orders[-1]).__getitem__, orders)
-    bound_id, citation, detail = b.bound_id, b.citation, b.detail
+        column = _column(b, p, orders[-1])
+        values = map(column.__getitem__, orders)
+        if detail in _VALUE_DETAILS:
+            texts = _memo(
+                (b.rhs, q, detail), orders[-1],
+                lambda ns: [b.detail(p, n, None, column[n], None) for n in ns],
+            )
+            detail = lambda p, n, left, value, r: texts[n]  # noqa: E731
+    bound_id, citation = b.bound_id, b.citation
     equality = b.equality and p.rich
     reports = []
     for n, left, value, r in zip(orders, lhs, values, rs):
@@ -941,10 +1000,13 @@ def _word_rows(
     if include_closure and closure_ids:
         closure = _closure_chars(w.chars, profile.lps_length)
         if closure != w.chars:
-            cp = word_profile(Word(closure, profile.q))
+            cp = _closure_profile(closure, profile.q, Eertree(), [1])
             if skipped is not None:
                 closure_ids = _admissible(closure_ids, cp, ns, {})
-            parts.append(_rows(cp, [closure_ids], ns, force))
+            # none left: an order past the closure, which has no switch
+            # arrays for _beyond to read
+            if closure_ids:
+                parts.append(_rows(cp, [closure_ids], ns, force))
     return chain.from_iterable(parts)
 
 
@@ -1223,7 +1285,7 @@ def _sweep_below(args: tuple) -> tuple[int, dict, dict]:
     range takes min and max over the same values, so the result equals a
     word-by-word fold exactly; a word violates exactly when one of its
     units does.  A closure's B8/B9 units are keyed on the closure's own
-    profile (see closure_profile), and the closure's units are memoised
+    profile (see _closure_profile), and the closure's units are memoised
     by its chars: the words that share a closure are all prefixes of it,
     so closures repeat often, and a repeat skips its profile.  The units
     and the closure memo live for this call only; the (q, n)-only

@@ -46,7 +46,7 @@ from richlab.structures import (
     sentinel_augment,
     switch_cores,
 )
-from richlab.paltree import Eertree, lps, lpps
+from richlab.paltree import Eertree, _tree_of, lps, lpps
 from richlab.words import Word
 
 W = Word.parse
@@ -257,6 +257,54 @@ def test_carried_profile_follows_random_rich_words(q, first, keep, second):
     for c in _grow_rich(tree, second, q):
         state.push(c)
     _assert_carried_matches(state)
+
+
+def _assert_closure_profile_matches(w, carried):
+    """The shared closure profile of w, from a fresh tree and from a tree
+    that holds w, against word_profile of the closure; carried also runs
+    the sweep's carried profile down w."""
+    q = w.alphabet_size
+    c = bounds._closure_chars(w.chars, word_profile(w).lps_length)
+    slow = word_profile(Word(c, q))
+    # a palindrome's factors are closed under reversal: the shortcut's premise
+    assert all(slow.closed), w
+    tree = _tree_of(w.chars)
+    before = (len(tree), tree.node_count, tree.last_node())
+    profiles = [
+        bounds._closure_profile(c, q, Eertree(), [1]),
+        bounds._closure_profile(c, q, tree, list(word_profile(w).pal)),
+    ]
+    assert (len(tree), tree.node_count, tree.last_node()) == before, w
+    if carried:
+        state = bounds._CarriedProfile(q)
+        for symbol in w:
+            state.push(symbol)
+        profiles.append(state.closure_profile(c))
+        assert len(state.tree) == len(w), w
+    for fast in profiles:
+        assert (fast.sw, fast.gamma_max, fast.fibres) == (None, None, None)
+        for f in ("word", "q", "rich", "fac", "pal", "pal_max", "closed"):
+            assert getattr(fast, f) == getattr(slow, f), (w, f)
+
+
+def test_closure_profile_equals_word_profile_of_the_closure():
+    # the one profile of a closure that the sweep and evaluate_word share
+    rng = random.Random(17)
+    for q in (2, 3):
+        for length in (120, 180, 240, 300):
+            w = _random_rich_word(rng, q, length)
+            assert len(w) == length and word_profile(w).rich
+            _assert_closure_profile_matches(w, carried=True)
+    for length in (200, 987, 1000, 2000):
+        _assert_closure_profile_matches(_fibonacci_prefix(length), carried=False)
+    # a word that is not rich, as verify --force --with-closure profiles it
+    w = W(WITNESS.text + "011")
+    assert not word_profile(w).rich
+    _assert_closure_profile_matches(w, carried=True)
+    reports = evaluate_word(w, include_closure=True, force=True)
+    on_closure = [r for r in reports if r.word_length == len(palindromic_closure(w))]
+    assert {r.bound_id for r in on_closure} == {"B8", "B9"}
+    assert not all(r.covered for r in on_closure)
 
 
 # --- B1 ---
@@ -758,13 +806,6 @@ def test_evaluate_word_force_on_non_rich():
     assert not reports[0].holds
 
 
-def _fibonacci_prefix(length):
-    a, b = "0", "01"
-    while len(b) < length:
-        a, b = b, b + a
-    return W(b[:length])
-
-
 def _assert_memo_matches_explicit_orders(w):
     """Every report of evaluate_word(w, include_closure=True), against the
     report of its bound at its own order alone, on w or on its closure."""
@@ -794,8 +835,31 @@ def test_memo_orders_equal_explicit_orders(monkeypatch):
     for w in words:
         assert word_profile(w).rich and len(w) == 300
         _assert_memo_matches_explicit_orders(w)
-    # an explicit order far past the word grows no column
+    # the memo keeps each log-domain detail text beside its right-hand side
+    b5, b12 = bounds._BOUNDS["B5"], bounds._BOUNDS["B12"]
+    for w in words:
+        texts = bounds._RHS_MEMO[b5.rhs, w.alphabet_size, b5.detail]
+        got = [r.detail for r in evaluate_word(w, ["B5"])]
+        assert got == texts[1 : len(w) + 1]
+    # B12's reports read n alone: built once per process and shared, the
+    # same objects for words of any q and length, each equal to the report
+    # of check_ceil_product_lemma at its order
+    longer = _fibonacci_prefix(600)
+    shared = [evaluate_word(w, ["B12"]) for w in (*words, longer)]
+    assert [len(reports) for reports in shared] == [300, 300, 600]
+    for reports in shared[:2]:
+        assert all(a is b for a, b in zip(reports, shared[2]))
+    assert shared[2] == bounds._RHS_MEMO[b12.rhs, None, BoundReport][1:601]
+    for n, report in enumerate(shared[2], 1):
+        assert dataclasses.astuple(report) == dataclasses.astuple(
+            check_ceil_product_lemma(n)
+        )
+    # an explicit order far past the word adds no key and no entry
     lengths = {key: len(column) for key, column in bounds._RHS_MEMO.items()}
+    assert {
+        (b12.rhs, None, BoundReport), (b5.rhs, 2), (b5.rhs, 2, b5.detail),
+        (b5.rhs, 3, b5.detail),
+    } <= set(lengths)
     far = [b for b in BOUND_IDS if b not in bounds._CLOSURE_GROUP]
     assert len(evaluate_word(words[0], far, ns=[10**9])) == len(far)
     assert {key: len(column) for key, column in bounds._RHS_MEMO.items()} == lengths
@@ -804,7 +868,6 @@ def test_memo_orders_equal_explicit_orders(monkeypatch):
     # is an exact tie, which only 1000 bits settle, and a larger one is
     # settled at 200; the memo holds no thunk, so every escalation builds
     # the rhs again
-    b5 = bounds._BOUNDS["B5"]
     thunks = []
 
     def zero():
@@ -835,6 +898,12 @@ def test_memo_orders_equal_explicit_orders(monkeypatch):
         assert {(r.lhs == 1, r.holds) for r in b5_reports} == {
             (True, True), (False, False)
         }
+        # the text is keyed on the rhs callable: the patched rhs's texts
+        # are its own, and B5's own column says otherwise past n = 1
+        texts = bounds._RHS_MEMO[patched.rhs, w.alphabet_size, patched.detail]
+        assert set(texts[1:]) == {"log2(rhs)=0"}
+        own = bounds._RHS_MEMO[b5.rhs, w.alphabet_size, b5.detail]
+        assert "log2(rhs)=0" not in own[2:]
         reports = _assert_memo_matches_explicit_orders(w)
         assert [r for r in reports if r.bound_id == "B5"] == b5_reports
 

@@ -1,5 +1,6 @@
 """CLI surface: output shapes, exit codes, stdout purity, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import richlab
 
 from richlab.bounds import BOUND_IDS
 from richlab.cli import AnalysisReport, _portable, analysis_report, main
+from richlab.structures import palindromic_closure
 from richlab.words import Word
 
 W3 = "1100100010011001010"
@@ -245,23 +247,30 @@ def test_verify_order_runs_bounds_skipped_on_the_word_on_its_closure(capsys):
     "argv, profiled",
     [
         ([W3, "--n", "3"], [W3]),
-        (["01", "--n", "2", "--with-closure"], ["01", "010"]),
-        (["0010", "--n", "4", "--with-closure"], ["0010", "00100"]),
-        ([W3, "--with-closure"], [W3, "110010001001100101001100100010011"]),
+        (["01", "--n", "2", "--with-closure"], ["01", "closure 010"]),
+        (["0010", "--n", "4", "--with-closure"], ["0010", "closure 00100"]),
+        ([W3, "--with-closure"], [W3, "closure 110010001001100101001100100010011"]),
         (["0110", "--n", "2", "--with-closure"], ["0110"]),  # its own closure
     ],
 )
 def test_verify_profiles_each_word_once(capsys, monkeypatch, argv, profiled):
+    # word_profile profiles the word, and never its closure, which
+    # _closure_profile profiles
     from richlab import bounds
 
     seen = []
-    real = bounds.word_profile
+    word_profile, closure_profile = bounds.word_profile, bounds._closure_profile
 
-    def spy(w):
+    def word_spy(w):
         seen.append(w.text)
-        return real(w)
+        return word_profile(w)
 
-    monkeypatch.setattr(bounds, "word_profile", spy)
+    def closure_spy(c, q, tree, pal):
+        seen.append(f"closure {Word(c, q).text}")
+        return closure_profile(c, q, tree, pal)
+
+    monkeypatch.setattr(bounds, "word_profile", word_spy)
+    monkeypatch.setattr(bounds, "_closure_profile", closure_spy)
     code, _, _ = run(capsys, ["verify", *argv])
     assert code == 0 and seen == profiled
 
@@ -592,3 +601,21 @@ def test_stdout_matches_recorded_golden(capsys, argv, name):
     code, out, _ = run(capsys, argv)
     assert code == int('"holds": false' in out)  # 1 exactly when a report fails
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_explicit_orders_on_the_closure(capsys):
+    # verify W --n k --with-closure, with and without --bounds B8,B9, at
+    # every order up to one past the closure: stdout, stderr and exit code
+    # as recorded (a sha256 prefix per call) when a closure was profiled
+    # like any word.  The closure's profile has no switch arrays now, so
+    # this guards the admissibility and past-the-end checks on it.
+    want = json.loads((GOLDEN / "verify_closure_orders.json").read_text())
+    got = {}
+    for w in (WG, W37, "0010"):
+        top = len(palindromic_closure(Word.parse(w))) + 1
+        for extra in ([], ["--bounds", "B8,B9"]):
+            for k in range(1, top + 1):
+                argv = ["verify", w, "--n", str(k), "--with-closure", *extra]
+                text = json.dumps(run(capsys, argv))
+                got[" ".join(argv)] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert got == want
