@@ -13,11 +13,13 @@ thunk, for every order up to the longest word met so far.  Beside them it
 keeps the detail text of B5-B7, B10 and B11, which reads only that value,
 and B12's reports whole, which read n alone, so every word shares them.
 
-evaluate_word and the check_* wrappers build each bound's BoundReports
-straight from its two columns (_bound_reports), with the exact left-hand
-side.  An explicit order computes its right-hand side afresh, reads and
-grows no memo column, and past |w| reads the arrays through _AnyOrder
-views (_beyond).  A palindromic closure, whose B8/B9 reports evaluate_word
+_bound_reports builds every BoundReport, straight from a bound's two
+columns, with the exact left-hand side.  Explicit orders, those of
+evaluate_word(ns=...) and of every check_* wrapper (none of which takes
+a profile), take one path: _explicit checks them and _rows reads them.
+An explicit order computes its right-hand side afresh, reads and grows
+no memo column, and past |w| reads the arrays through _AnyOrder views
+(_beyond).  A palindromic closure, whose B8/B9 reports evaluate_word
 and the sweep add, is profiled by one function, _closure_profile: a
 palindrome's factor sets are closed under reversal at every order, and
 B8/B9 read no switch, so it needs only the closure's suffix automaton and
@@ -257,11 +259,12 @@ def _closure_profile(c: str, q: int, tree: Eertree, pal: list[int]) -> WordProfi
 
     tree holds a prefix of c and pal counts that prefix's palindromes per
     length: the sweep passes its carried tree and counts, _word_rows a
-    fresh tree and [1].  pal and rich: tree is extended by the rest of c,
-    read, and popped back, so the caller finds it as it was.  fac: c's
-    suffix automaton, as in word_profile.  closed: all True, since the
-    factors of a palindrome are closed under reversal.  sw, gamma_max and
-    fibres are None: a closure's B8/B9 reports read none of them.
+    fresh tree and [1].  pal and rich: tree is extended by the rest of c
+    and left holding c (the sweep pops it back); the list pal is not
+    changed.  fac: c's suffix automaton, as in word_profile.  closed: all
+    True, since the factors of a palindrome are closed under reversal.
+    sw, gamma_max and fibres are None: a closure's B8/B9 reports read none
+    of them.
     """
     L = len(c)
     tail = c[len(tree) :]
@@ -270,12 +273,10 @@ def _closure_profile(c: str, q: int, tree: Eertree, pal: list[int]) -> WordProfi
     for ch in tail:
         if append(ord(ch)):
             pal[length(last())] += 1
-    rich = tree.distinct_nonempty == L
-    for _ in tail:
-        tree.pop()
     length, link, _, _ = _suffix_automaton(c)
     return WordProfile(
-        Word._trusted(c, q), q, rich, _factor_counts(length, link, L),
+        Word._trusted(c, q), q, tree.distinct_nonempty == L,
+        _factor_counts(length, link, L),
         tuple(pal), None, None, tuple(accumulate(pal, max)), (True,) * (L + 1),
         None,
     )
@@ -417,9 +418,15 @@ class _CarriedProfile:
         """The profile of c, the palindromic closure of the word, less switches.
 
         The carried Eertree and palindrome counts hold the word already, so
-        _closure_profile extends them by the letters c adds only.
+        _closure_profile extends them by the letters c adds only, which
+        are popped back off the tree.
         """
-        return _closure_profile(c, self.q, self.tree, self.pal)
+        tree = self.tree
+        added = len(c) - len(tree)
+        profile = _closure_profile(c, self.q, tree, self.pal)
+        for _ in range(added):
+            tree.pop()
+        return profile
 
 
 def _require_rich(w: Word, force: bool) -> bool:
@@ -715,6 +722,14 @@ _TABLE = (
 )
 _BOUNDS = {b.bound_id: b for b in _TABLE}
 
+
+def _require_known(bound_ids: Sequence[str]) -> None:
+    """Raise unless every id in bound_ids is in BOUND_IDS."""
+    unknown = set(bound_ids) - set(BOUND_IDS)
+    if unknown:
+        raise ValueError(f"unknown bound ids: {sorted(unknown)}")
+
+
 # Report order when every admissible order is checked: bound by bound, except
 # that B10 and B11 alternate at each n.
 _WORD_GROUPS = tuple((b,) for b in BOUND_IDS[:9]) + (("B10", "B11"),)
@@ -733,27 +748,18 @@ def _orders(b: _Bound, p, L: int) -> Sequence[int]:
     return range(b.min_n, (L if b.reads else max(L, 1)) + 1)
 
 
-def _check_order(b: _Bound, p: Optional[WordProfile], n: int) -> None:
-    """Raise unless b applies at order n (richness aside)."""
-    if b.domain is not None and n < b.min_n:
-        raise ValueError(b.domain)
-    if b.closed:
-        _require_closed(p, n)
-
-
 def _admissible(
     bound_ids: Sequence[str], p: WordProfile, ns: Sequence[int], skipped: dict
 ) -> list[str]:
     """The bounds that apply to p's word at every order in ns.
 
-    Each other bound goes into skipped with the reason.  Richness is not an
-    order condition, so it is left to the check itself.
+    Each other bound goes into skipped with the reason _explicit gives.
+    Richness is not an order condition, so it is left to the check itself.
     """
     kept = []
     for bound_id in bound_ids:
         try:
-            for n in ns:
-                _check_order(_BOUNDS[bound_id], p, n)
+            _explicit(p, (bound_id,), ns, True)
         except ValueError as exc:
             skipped[bound_id] = str(exc)
         else:
@@ -770,8 +776,10 @@ class _AnyOrder:
         self.array, self.past = array, past
 
     def __getitem__(self, n: int):
-        array = self.array
-        return array[n] if n < len(array) else self.past
+        try:
+            return self.array[n]
+        except IndexError:
+            return self.past
 
 
 def _beyond(p: WordProfile) -> WordProfile:
@@ -918,15 +926,16 @@ def _explicit(
     """p, read past |w| if some order in ns lies there, once group is checked at ns.
 
     Raises the first error an order-by-order walk of group would meet: an
-    unknown bound, an order where a bound does not apply, or a word that
-    is not rich for a bound proved for rich words only (unless forced).
+    order where a bound does not apply, or a word that is not rich for a
+    bound proved for rich words only (unless forced).
     """
     for n in ns:
         for bound_id in group:
-            b = _BOUNDS.get(bound_id)
-            if b is None:
-                raise ValueError(f"unknown bound {bound_id!r}")
-            _check_order(b, p, n)
+            b = _BOUNDS[bound_id]
+            if b.domain is not None and n < b.min_n:
+                raise ValueError(b.domain)
+            if b.closed:
+                _require_closed(p, n)
             if b.rich and not p.rich:
                 _require_rich(p.word, force)
     if p is not None and ns and max(ns) > len(p.word.chars):
@@ -984,6 +993,7 @@ def _word_rows(
     any report is built, and the closure's B8/B9 run wherever they apply
     to the closure, whether or not they apply to w.
     """
+    _require_known(bound_ids)
     profile = word_profile(w)
     closure_ids = [b for b in _CLOSURE_GROUP if b in bound_ids]
     if skipped is not None:
@@ -1010,113 +1020,83 @@ def _word_rows(
     return chain.from_iterable(parts)
 
 
-def _check(
-    bound_ids: Sequence[str], w: Optional[Word], n: int, force: bool,
-    profile: Optional[WordProfile],
-) -> list[BoundReport]:
-    """The reports of the given bounds at one explicit order."""
-    if w is not None:
-        profile = profile or word_profile(w)
-    orders = (n,)
-    p = _explicit(profile, bound_ids, orders, force)
-    reports = []
-    for bound_id in bound_ids:
-        reports += _bound_reports(_BOUNDS[bound_id], p, orders, force, True)
-    return reports
-
-
 # ---------------------------------------------------------------- check_*
+# Each builds its reports through _rows at its one explicit order, as
+# evaluate_word(w, ids, [n]) does.
 
 
-def check_switch_palindrome_bound(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
-) -> BoundReport:
+def check_switch_palindrome_bound(w: Word, n: int, force: bool = False) -> BoundReport:
     """B1: pal(n) <= 2*|switches(n)| + pal(n-2) on rich words, n > 2."""
-    return _check(("B1",), w, n, force, profile)[0]
+    return next(_rows(word_profile(w), [("B1",)], (n,), force))
 
 
-def check_upsilon_bound(
-    w: Word, n: int, r: Word, force: bool = False,
-    profile: Optional[WordProfile] = None,
-) -> BoundReport:
+def check_upsilon_bound(w: Word, n: int, r: Word, force: bool = False) -> BoundReport:
     """B2: at most q(q-1) length-n switch cores share one lpps value r, n > 0."""
-    p = _explicit(profile or word_profile(w), ("B2",), (n,), force)
-    b = _BOUNDS["B2"]
-    lhs = dict(p.fibres[n]).get(r.chars, 0)
-    rhs = b.rhs(p, n)
-    return BoundReport(
-        "B2", len(p.word), n, p.q, lhs, rhs, None, lhs <= rhs, None, p.rich,
-        b.citation, b.detail(p, n, lhs, rhs, r.chars),
-    )
+    p = word_profile(w)
+    # B2's one report at n is then r's fibre, of size 0 if no core has r;
+    # at an order where B2 does not apply, _rows raises before reading it
+    size = dict(_AnyOrder(p.fibres, ())[n]).get(r.chars, 0)
+    one = replace(p, fibres=_AnyOrder((), ((r.chars, size),)))
+    return next(_rows(one, [("B2",)], (n,), force))
 
 
-def check_gamma_palindrome_bound(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
-) -> BoundReport:
+def check_gamma_palindrome_bound(w: Word, n: int, force: bool = False) -> BoundReport:
     """B3: pal(n) <= (q+1)*n*maxswitch(n) on rich words, n > 0."""
-    return _check(("B3",), w, n, force, profile)[0]
+    return next(_rows(word_profile(w), [("B3",)], (n,), force))
 
 
-def check_gamma_recursion(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
-) -> BoundReport:
+def check_gamma_recursion(w: Word, n: int, force: bool = False) -> BoundReport:
     """B4: maxswitch(n) <= q^5*ceil(n/2)^2*maxswitch(ceil(n/2)), n > 0."""
-    return _check(("B4",), w, n, force, profile)[0]
+    return next(_rows(word_profile(w), [("B4",)], (n,), force))
 
 
-def check_gamma_closed_form(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
-) -> BoundReport:
+def check_gamma_closed_form(w: Word, n: int, force: bool = False) -> BoundReport:
     """B5: maxswitch(n) <= (4*q^10*n)**log2(n), n > 0."""
-    return _check(("B5",), w, n, force, profile)[0]
+    return next(_rows(word_profile(w), [("B5",)], (n,), force))
 
 
 def check_palindromic_complexity_bound(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
+    w: Word, n: int, force: bool = False
 ) -> BoundReport:
     """B6: pal(n) <= (q+1)*n*(4*q^10*n)**log2(n), n > 0."""
-    return _check(("B6",), w, n, force, profile)[0]
+    return next(_rows(word_profile(w), [("B6",)], (n,), force))
 
 
-def check_factor_complexity_bound(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
-) -> BoundReport:
+def check_factor_complexity_bound(w: Word, n: int, force: bool = False) -> BoundReport:
     """B7: fac(n) <= (q+1)^2*n^4*(4*q^10*n)**(2*log2(n)), n > 0."""
-    return _check(("B7",), w, n, force, profile)[0]
+    return next(_rows(word_profile(w), [("B7",)], (n,), force))
 
 
-def check_reversal_inequality(
-    w: Word, n: int, profile: Optional[WordProfile] = None
-) -> BoundReport:
+def check_reversal_inequality(w: Word, n: int) -> BoundReport:
     """B8: pal(n)+pal(n+1) <= fac(n+1)-fac(n)+2 when F(w,n+1) is reversal-closed.
 
     Equality verdict is attached when the word is rich (it then always holds).
     """
-    return _check(("B8",), w, n, False, profile)[0]
+    return next(_rows(word_profile(w), [("B8",)], (n,), False))
 
 
 def check_factor_vs_palindrome_bound(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
+    w: Word, n: int, force: bool = False
 ) -> BoundReport:
     """B9: fac(n) <= 2(n-1)*maxpal(n) - 2(n-1) + q under B8's preconditions plus richness."""
-    return _check(("B9",), w, n, force, profile)[0]
+    return next(_rows(word_profile(w), [("B9",)], (n,), force))
 
 
 def check_final_bounds(
-    w: Word, n: int, force: bool = False, profile: Optional[WordProfile] = None
+    w: Word, n: int, force: bool = False
 ) -> tuple[BoundReport, BoundReport]:
     """B10 and B11: factor-complexity bounds free of closure preconditions.
 
     B10: fac(n) <= 2(2n-1)*(q+1)*2n*(8*q^10*n)^log2(2n) - 2(2n-1) + q
     B11: fac(n) <= (q+1)*8*n^2*(8*q^10*n)^log2(2n) + q
     """
-    r10, r11 = _check(("B10", "B11"), w, n, force, profile)
+    r10, r11 = _rows(word_profile(w), [("B10", "B11")], (n,), force)
     return r10, r11
 
 
 def check_ceil_product_lemma(n: int) -> BoundReport:
     """B12: prod_{j=1..floor(log2 n)} ceil(n/2^j) <= (2*sqrt(n))^log2(n)."""
-    return _check(("B12",), None, n, False, None)[0]
+    return next(_rows(None, [("B12",)], (n,), False))
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -1423,10 +1403,10 @@ def sweep_rich(
 
     t0 = time.perf_counter()
     _check_alphabet(q)
+    if max_len < 0:
+        raise ValueError("length must be >= 0")
+    _require_known(bound_ids)
     ids = tuple(b for b in BOUND_IDS if b in set(bound_ids))
-    unknown = set(bound_ids) - set(BOUND_IDS)
-    if unknown:
-        raise ValueError(f"unknown bound ids: {sorted(unknown)}")
     word_bounds = tuple(b for b in ids if b != "B12")
     shards = _sharded(
         _sweep_below, q, max_len, True, jobs, DEFAULT_SHARD_PREFIX,

@@ -259,28 +259,38 @@ def test_carried_profile_follows_random_rich_words(q, first, keep, second):
     _assert_carried_matches(state)
 
 
+def _tree_state(tree):
+    return (len(tree), tree.node_count, tree.last_node(), tree.distinct_nonempty)
+
+
 def _assert_closure_profile_matches(w, carried):
     """The shared closure profile of w, from a fresh tree and from a tree
     that holds w, against word_profile of the closure; carried also runs
-    the sweep's carried profile down w."""
+    the sweep's carried profile down w.
+
+    _closure_profile leaves its tree holding the closure, and the carried
+    profile's closure_profile leaves the carried state as it was."""
     q = w.alphabet_size
     c = bounds._closure_chars(w.chars, word_profile(w).lps_length)
     slow = word_profile(Word(c, q))
     # a palindrome's factors are closed under reversal: the shortcut's premise
     assert all(slow.closed), w
-    tree = _tree_of(w.chars)
-    before = (len(tree), tree.node_count, tree.last_node())
+    fresh, tree = Eertree(), _tree_of(w.chars)
+    pal = list(word_profile(w).pal)
     profiles = [
-        bounds._closure_profile(c, q, Eertree(), [1]),
-        bounds._closure_profile(c, q, tree, list(word_profile(w).pal)),
+        bounds._closure_profile(c, q, fresh, [1]),
+        bounds._closure_profile(c, q, tree, pal),
     ]
-    assert (len(tree), tree.node_count, tree.last_node()) == before, w
+    assert _tree_state(fresh) == _tree_state(tree) == _tree_state(_tree_of(c)), w
+    assert pal == list(word_profile(w).pal), w
     if carried:
         state = bounds._CarriedProfile(q)
         for symbol in w:
             state.push(symbol)
+        before = _tree_state(state.tree), {f: get(state) for f, get in bounds._CARRIED.items()}
         profiles.append(state.closure_profile(c))
-        assert len(state.tree) == len(w), w
+        after = _tree_state(state.tree), {f: get(state) for f, get in bounds._CARRIED.items()}
+        assert after == before, w
     for fast in profiles:
         assert (fast.sw, fast.gamma_max, fast.fibres) == (None, None, None)
         for f in ("word", "q", "rich", "fac", "pal", "pal_max", "closed"):
@@ -344,6 +354,24 @@ def test_b2_golden():
     assert rep.holds
     rep = check_upsilon_bound(WU, 6, W("00"))
     assert rep.lhs == 0
+
+
+def test_b2_forced_on_a_word_that_is_not_rich():
+    # the report of each (order, lpps value), recorded field by field;
+    # 20 lies past |w| = 17, and no core of any order has lpps 0110
+    w = W(WITNESS.text + "011")
+    lhs = {
+        (1, ""): 2, (3, "0"): 1, (3, "1"): 1, (5, "1"): 1,
+    }
+    with pytest.raises(RichnessRequiredError):
+        check_upsilon_bound(w, 3, W("0"))
+    for n in (1, 3, 5, 20):
+        for r in ("", "0", "1", "0110"):
+            left = lhs.get((n, r), 0)
+            assert dataclasses.astuple(check_upsilon_bound(w, n, W(r), force=True)) == (
+                "B2", 17, n, 2, left, 2, None, True, None, False,
+                "|cores of length n with lpps r| <= q(q-1)", f"r={r!r}: {left} <= 2",
+            ), (n, r)
 
 
 def test_b2_binary_class_maximum_is_two():
@@ -794,8 +822,17 @@ def test_evaluate_word_closure_augmentation():
 
 
 def test_evaluate_word_rejects_unknown_bound_at_explicit_order():
-    with pytest.raises(ValueError):
-        evaluate_word(W3, bound_ids=["B99"], ns=[3])
+    # at explicit orders and at every order alike, and a bare string is
+    # read as its letters, as sweep_rich reads it
+    for ns in ([3], None):
+        with pytest.raises(ValueError, match=r"unknown bound ids: \['B99'\]"):
+            evaluate_word(W3, bound_ids=["B99"], ns=ns)
+        with pytest.raises(ValueError, match=r"unknown bound ids: \['B13'\]"):
+            evaluate_word(W3, ("B13",), ns=ns)
+        with pytest.raises(ValueError, match=r"unknown bound ids: \['1', 'B'\]"):
+            evaluate_word(W3, "B1", ns=ns)
+    with pytest.raises(ValueError, match=r"unknown bound ids: \['1', 'B'\]"):
+        sweep_rich(2, 3, "B1")
 
 
 def test_evaluate_word_force_on_non_rich():
@@ -944,6 +981,12 @@ def test_sweep_bound_subset_and_closure_toggle():
 def test_sweep_rejects_an_empty_alphabet(q):
     with pytest.raises(ValueError, match="alphabet size must be >= 1"):
         sweep_rich(q, 3)
+
+
+def test_sweep_rejects_a_negative_length():
+    # as rich_counts and enumerate_rich do
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        sweep_rich(2, -3)
 
 
 # --- sweep fold against the reports it stands for ---

@@ -1,5 +1,6 @@
 """Hash every report of evaluate_word(w, include_closure=True, force=True)
-over a fixed corpus, so two versions of richlab can be compared exactly.
+over a fixed corpus, and every check_* call at explicit orders, so two
+versions of richlab can be compared exactly.
 
 The corpus is every word over 2 letters up to length 10, over 3 letters
 up to length 6 and over 4 letters up to length 4 (rich or not, hence
@@ -7,10 +8,16 @@ force), then the 240 words of bench/expected.json's verify_long pool.
 Each report is hashed as the tuple of its fields, floats written with
 float.hex, so the hash changes with any bit of any report.
 
+The second hash covers every check_* function at n = -1 .. |w|+2 on the
+corpus words of length <= 7, with force False and True where it takes
+force; check_upsilon_bound runs with the lpps of each switch core of w
+and with the empty word.  A raised error is hashed as its type and
+message.
+
     PYTHONPATH=src python3 tools/report_hash.py [--expect HASH]
 
-Prints the report count and the sha256; with --expect, exits 1 when the
-hash differs.
+Prints the report count and the sha256 of each hash; with --expect, exits
+1 when the first hash differs.
 """
 
 from __future__ import annotations
@@ -23,11 +30,23 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
+from richlab import bounds
 from richlab.bounds import evaluate_word
+from richlab.paltree import lpps
+from richlab.structures import switch_cores
 from richlab.words import Word
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ((2, 10), (3, 6), (4, 4))
+EXPLICIT_MAX_LEN = 7
+
+# the check_* functions of a word and an order that take force
+FORCED_CHECKS = (
+    "check_switch_palindrome_bound", "check_gamma_palindrome_bound",
+    "check_gamma_recursion", "check_gamma_closed_form",
+    "check_palindromic_complexity_bound", "check_factor_complexity_bound",
+    "check_factor_vs_palindrome_bound", "check_final_bounds",
+)
 
 
 def corpus():
@@ -45,6 +64,10 @@ def _field(v) -> str:
     return v.hex() if isinstance(v, float) else repr(v)
 
 
+def _line(r) -> bytes:
+    return ("\t".join(map(_field, astuple(r))) + "\n").encode()
+
+
 def report_hash() -> tuple[int, int, str]:
     """(words, reports, sha256 hex) over the corpus."""
     digest = hashlib.sha256()
@@ -54,16 +77,56 @@ def report_hash() -> tuple[int, int, str]:
         digest.update(f"{w.alphabet_size}:{w.text}\n".encode())
         for r in evaluate_word(w, include_closure=True, force=True):
             reports += 1
-            digest.update(("\t".join(map(_field, astuple(r))) + "\n").encode())
+            digest.update(_line(r))
     return words, reports, digest.hexdigest()
+
+
+def _explicit_calls(w: Word):
+    """(check_* function, its arguments) for every call on w at n = -1 .. |w|+2."""
+    rs = sorted(
+        {lpps(u) for n in range(len(w) + 3) for u in switch_cores(w, n)} | {Word("")},
+        key=lambda r: r.chars,
+    )
+    for n in range(-1, len(w) + 3):
+        for force in (False, True):
+            for name in FORCED_CHECKS:
+                yield getattr(bounds, name), (w, n, force)
+            for r in rs:
+                yield bounds.check_upsilon_bound, (w, n, r, force)
+        yield bounds.check_reversal_inequality, (w, n)
+        yield bounds.check_ceil_product_lemma, (n,)
+
+
+def explicit_hash() -> tuple[int, int, str]:
+    """(calls, errors, sha256 hex) of every check_* call on the short corpus words."""
+    digest = hashlib.sha256()
+    calls = errors = 0
+    for w in corpus():
+        if len(w) > EXPLICIT_MAX_LEN:
+            continue
+        digest.update(f"{w.alphabet_size}:{w.text}\n".encode())
+        for check, args in _explicit_calls(w):
+            calls += 1
+            digest.update(f"{check.__name__}{args[1:]!r}\n".encode())
+            try:
+                got = check(*args)
+            except Exception as exc:  # noqa: BLE001 - an error is an outcome
+                errors += 1
+                digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                continue
+            for r in got if isinstance(got, tuple) else (got,):
+                digest.update(_line(r))
+    return calls, errors, digest.hexdigest()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--expect", help="exit 1 unless the hash is this one")
+    parser.add_argument("--expect", help="exit 1 unless the first hash is this one")
     args = parser.parse_args(argv)
     words, reports, hexdigest = report_hash()
     print(f"words={words} reports={reports} sha256={hexdigest}")
+    calls, errors, explicit = explicit_hash()
+    print(f"explicit calls={calls} errors={errors} sha256={explicit}")
     return 0 if args.expect in (None, hexdigest) else 1
 
 
