@@ -13,17 +13,20 @@ thunk, for every order up to the longest word met so far.  Beside them it
 keeps the detail text of B5-B7, B10 and B11, which reads only that value,
 and B12's reports whole, which read n alone, so every word shares them.
 
-_bound_reports builds every BoundReport, straight from a bound's two
-columns, with the exact left-hand side.  Explicit orders, those of
-evaluate_word(ns=...) and of every check_* wrapper (none of which takes
-a profile), take one path: _explicit checks them and _rows reads them.
-An explicit order computes its right-hand side afresh, reads and grows
-no memo column, and past |w| reads the arrays through _AnyOrder views
-(_beyond).  A palindromic closure, whose B8/B9 reports evaluate_word
-and the sweep add, is profiled by one function, _closure_profile: a
-palindrome's factor sets are closed under reversal at every order, and
-B8/B9 read no switch, so it needs only the closure's suffix automaton and
-an Eertree extended by the letters the closure adds.
+One step, _judge, decides every verdict lhs <= rhs, and the richness
+check, from a bound's left-hand column at its orders: _bound_reports
+builds every BoundReport from its output, and the sweep's _fold_columns
+counts passes, equalities and slacks (_slacks) from it.  Explicit
+orders, those of evaluate_word(ns=...) and of every check_* wrapper
+(none of which takes a profile), take one path: _explicit checks them
+and _rows reads them.  An explicit order computes its right-hand side
+afresh, reads and grows no memo column, and past |w| reads the arrays
+through _AnyOrder views (_beyond).  A palindromic closure, whose B8/B9
+reports evaluate_word and the sweep add, is profiled by one function,
+_closure_profile: a palindrome's factor sets are closed under reversal
+at every order, and B8/B9 read no switch, so it needs only the
+closure's suffix automaton and an Eertree extended by the letters the
+closure adds.
 
 sweep_rich walks every canonical rich word, weighted by the size of its
 letter orbit, and folds the columns straight into per-bound units
@@ -39,10 +42,12 @@ signature, and its left-hand column, is the sorted sizes of its lpps
 fibres at each n.
 
 Comparison policy: the RHS is exact when its closed form is an integer
-(integral exponent) and log2(RHS) <= 512; otherwise the comparison runs in
-float64 log-domain with margin 1e-9, and anything inside the margin, or any
-candidate violation, is re-decided at 200-bit precision so that a reported
-violation is never a floating-point artifact.
+(integral exponent) and log2(RHS) <= 512; otherwise _decide_log compares in
+float64 log-domain with margin 1e-9.  Anything inside the margin, or any
+candidate violation, is re-decided at 200-bit precision, and if the sides
+are still within 2^-160 there, at 1000 bits, where a gap below 2^-900
+counts as a tie and so as a pass.  A reported violation is never a
+floating-point artifact.
 
 Checks whose statement holds only for rich words reject non-rich input;
 force=True evaluates anyway and marks the report as not covered.
@@ -131,7 +136,7 @@ class BoundReport:
 
     def slack_log2(self) -> Optional[float]:
         """log2(rhs) - log2(lhs); None when lhs is 0."""
-        return _slack(self.lhs, self.rhs, self.rhs_log2)
+        return next(iter(_slacks((self.lhs,), (self.rhs,), (self.rhs_log2,))), None)
 
     def to_json_dict(self) -> dict:
         return json_fields(self, ("rhs_log2", "rhs_is_log"))
@@ -474,11 +479,13 @@ def _decide_log(lhs: int, rhs_log2: float, hp_rhs_log2, *args) -> bool:
         return left <= right + mpmath.mpf(2) ** -900
 
 
-def _slack(lhs: int, rhs: Optional[int], rhs_log2: Optional[float]) -> Optional[float]:
-    """log2(rhs) - log2(lhs); None when lhs is 0."""
-    if lhs == 0:
-        return None
-    return (rhs_log2 if rhs is None else math.log2(rhs)) - math.log2(lhs)
+def _slacks(lhs: Iterable[int], rhs: Iterable, rhs_log2: Iterable) -> list[float]:
+    """log2(rhs) - log2(lhs) at each lhs > 0, with rhs_log2 where rhs is None."""
+    log2 = math.log2
+    return [
+        (g if r is None else log2(r)) - log2(left)
+        for left, r, g in zip(lhs, rhs, rhs_log2) if left
+    ]
 
 
 # ---------------------------------------------------------------- right-hand sides
@@ -489,8 +496,8 @@ class _Rhs(NamedTuple):
 
     exact: Optional[int]  # the value, when integral and at most EXACT_LOG2_CAP bits
     log2: float
-    # log2 at the current mpmath precision, for escalations; None in a
-    # _RHS_MEMO entry
+    # log2 at the current mpmath precision, for escalations; None once
+    # _by_order has read it
     hp: Optional[Callable]
 
 
@@ -508,32 +515,38 @@ def _exact_power(coeff: int, base: int, e: Optional[int], addend: int = 0) -> Op
     return None
 
 
+def _mp_log2(x) -> mpmath.mpf:
+    """log2(x) at the current mpmath precision.  The closed forms below write
+    their log2 once, over a base-2 log lg: math.log2, or _mp_log2 for hp."""
+    return mpmath.log(x, 2)
+
+
 def _power_rhs(coeff: int, k: int, q: int, n: int) -> _Rhs:
     """coeff * (4*q^10*n)**(k*log2(n)), the closed form of B5, B6 and B7."""
     e = _int_log2_or_none(n)
     exact = _exact_power(coeff, 4 * q**10 * n, None if e is None else k * e)
-    log2 = math.log2(coeff) + k * math.log2(n) * (
-        2 + 10 * math.log2(q) + math.log2(n)
-    )
 
-    def hp():
-        ln = mpmath.log(n, 2)
-        return mpmath.log(coeff, 2) + k * ln * (2 + 10 * mpmath.log(q, 2) + ln)
+    def log2(lg):
+        return lg(coeff) + k * lg(n) * (2 + 10 * lg(q) + lg(n))
 
-    return _Rhs(exact, log2, hp)
+    return _Rhs(exact, log2(math.log2), lambda: log2(_mp_log2))
 
 
 def _final_rhs(coeff: int, addend: int, q: int, n: int) -> _Rhs:
     """coeff * (8*q^10*n)**log2(2n) + addend, the closed form of B10 and B11."""
     base = 8 * q**10 * n
     exact = _exact_power(coeff, base, _int_log2_or_none(2 * n), addend)
-    t = math.log2(coeff) + math.log2(2 * n) * math.log2(base)
+
+    def power_log2(lg):
+        return lg(coeff) + lg(2 * n) * lg(base)
+
+    t = power_log2(math.log2)
     # fold in the small additive term; beyond float range it vanishes anyway
     log2 = t + math.log1p(addend * 2.0**-t) / math.log(2) if t <= 1020 else t
 
     def hp():
-        t = mpmath.log(coeff, 2) + mpmath.log(2 * n, 2) * mpmath.log(base, 2)
-        return t + mpmath.log(1 + mpmath.mpf(addend) / mpmath.power(2, t), 2)
+        t = power_log2(_mp_log2)
+        return t + _mp_log2(1 + mpmath.mpf(addend) / mpmath.power(2, t))
 
     return _Rhs(exact, log2, hp)
 
@@ -544,13 +557,12 @@ def _ceil_product_rhs(n: int) -> _Rhs:
     exact = None
     if e is not None and e % 2 == 0:
         exact = _exact_power(1, 2 << (e // 2), e)  # 2*sqrt(n) = 2^(e/2+1)
-    log2n = math.log2(n)
 
-    def hp():
-        ln = mpmath.log(n, 2)
+    def log2(lg):
+        ln = lg(n)
         return ln * (1 + ln / 2)
 
-    return _Rhs(exact, log2n * (1 + log2n / 2), hp)
+    return _Rhs(exact, log2(math.log2), lambda: log2(_mp_log2))
 
 
 def _ceil_product(n: int) -> int:
@@ -586,7 +598,7 @@ class _Bound:
     # rhs reads only q and n: computed once per (q, n) in a process
     by_order: bool = False
     # attach the equality verdict on rich words; only with a column rhs,
-    # as _fold_columns counts equalities on columns alone
+    # the one that _judge compares for equality
     equality: bool = False
     # the profile fields that lhs, rhs, orders and detail read, besides q,
     # rich and word; a sweep folds b once per distinct (rich, *reads)
@@ -723,11 +735,13 @@ _TABLE = (
 _BOUNDS = {b.bound_id: b for b in _TABLE}
 
 
-def _require_known(bound_ids: Sequence[str]) -> None:
-    """Raise unless every id in bound_ids is in BOUND_IDS."""
-    unknown = set(bound_ids) - set(BOUND_IDS)
+def _require_known(bound_ids: Sequence[str]) -> tuple[str, ...]:
+    """bound_ids once each, in BOUND_IDS order; raises on an id not in BOUND_IDS."""
+    wanted = set(bound_ids)
+    unknown = wanted - set(BOUND_IDS)
     if unknown:
         raise ValueError(f"unknown bound ids: {sorted(unknown)}")
+    return tuple(b for b in BOUND_IDS if b in wanted)
 
 
 # Report order when every admissible order is checked: bound by bound, except
@@ -827,40 +841,72 @@ def _memo(key: tuple, top: int, entries: Callable) -> list:
     return column
 
 
+def _by_order(b: _Bound, p, ns: Iterable[int]) -> list:
+    """b.rhs(p, n) at each order in ns, numbers only (hp=None): each
+    high-precision thunk, a closure the collector tracks, is dropped at once."""
+    return [
+        v if v.__class__ is int else _Rhs(v.exact, v.log2, None)
+        for v in map(b.rhs, repeat(p), ns)
+    ]
+
+
 def _column(b: _Bound, p, top: int) -> list:
     """b's (q, n)-only right-hand sides at orders 0..top, at least (see _RHS_MEMO)."""
-    rhs = b.rhs
-
-    def entries(ns: range) -> list:
-        # each thunk, a closure the collector tracks, is dropped at once
-        return [
-            v if v.__class__ is int else _Rhs(v.exact, v.log2, None)
-            for v in map(rhs, repeat(p), ns)
-        ]
-
-    return _memo((rhs, p.q if b.reads else None), top, entries)  # B12 reads no q either
+    key = (b.rhs, p.q if b.reads else None)  # B12 reads no q either
+    return _memo(key, top, lambda ns: _by_order(b, p, ns))
 
 
 def _rebuilt_hp(b: _Bound, p, n: int):
-    """log2(b.rhs(p, n)) at the current mpmath precision, for an escalation
-    on a _RHS_MEMO entry, which keeps no thunk."""
+    """log2(b.rhs(p, n)) at the current mpmath precision, for an escalation."""
     return b.rhs(p, n).hp()
+
+
+def _judge(
+    b: _Bound, p, orders: Sequence[int], lhs: Sequence[int], force=False, explicit=False
+) -> tuple:
+    """The verdict step: b's right-hand sides at orders, and each lhs <= rhs.
+
+    p is the profile or sweep signature that b reads, lhs b's left-hand
+    column.  Returns (covered, values, rhs, rhs_log2, holds, equal): the
+    richness check (RichnessRequiredError unless forced); then per order
+    the right-hand side (an int or an _Rhs, for the detail text), the
+    report fields rhs, rhs_log2, holds (an integer comparison, or
+    _decide_log for a log-domain value, whose escalation rebuilds the thunk
+    from b.rhs) and equality (lhs == rhs where b attaches it on p's word,
+    else equal is None).  A (q, n)-only right-hand side comes from
+    _RHS_MEMO, or afresh at explicit orders.  rhs_log2, holds and equal
+    may be iterators, to be read once, in step with orders.
+    """
+    covered = not b.rich or p.rich or _require_rich(p.word, force)
+    if not b.by_order:
+        values = rights = b.rhs(p, orders)
+        logs = repeat(None)
+        holds = map(operator.le, lhs, values)
+    else:
+        values = (_by_order(b, p, orders) if explicit
+                  else list(map(_column(b, p, orders[-1]).__getitem__, orders)))
+        rights, logs, holds = [], [], []
+        for left, v, n in zip(lhs, values, orders):
+            e = v if v.__class__ is int else v.exact
+            g = None if e is not None else v.log2
+            rights.append(e)
+            logs.append(g)
+            holds.append(left <= e if g is None else _decide_log(left, g, _rebuilt_hp, b, p, n))
+    equal = map(operator.eq, lhs, values) if b.equality and p.rich else None
+    return covered, values, rights, logs, holds, equal
 
 
 def _bound_reports(
     b: _Bound, p, orders: Sequence[int], force: bool, explicit: bool = False
 ) -> list[BoundReport]:
-    """b's reports on p's word at each order, in order.
+    """b's reports on p's word at each order, in order, built from _judge's
+    output, which runs only if b has a report.
 
-    Every bound but B2 gives one report per order.  B2 gives one per lpps
-    value r of the order's switch cores.  A (q, n)-only right-hand side,
-    the text of a detail in _VALUE_DETAILS and B12's reports whole come
-    from _RHS_MEMO, except at explicit orders, checked already, whose
-    right-hand sides are computed afresh: the caller's own order, at which
-    B2 with no switch cores still reports the empty value, or the orders
-    that B12's memo column lacks.  A log-domain verdict that escalates
-    rebuilds its thunk from b.rhs.  The richness check runs only if b has
-    a report.
+    Every bound but B2 gives one report per order, B2 one per lpps value r
+    of the order's switch cores.  A detail text in _VALUE_DETAILS and B12's
+    reports whole come from _RHS_MEMO, except at explicit orders, checked
+    already: the caller's own, at which B2 with no switch cores still
+    reports the empty value, or those that B12's memo column lacks.
     """
     if b.reads:
         L, q = len(p.word.chars), p.q
@@ -883,41 +929,22 @@ def _bound_reports(
                 return []
             rows = [(orders[0], 0, "")]
         orders, lhs, rs = zip(*rows)
-    covered = not b.rich or p.rich or _require_rich(p.word, force)
+    covered, values, rights, logs, holds, equal = _judge(b, p, orders, lhs, force, explicit)
     detail = b.detail
-    if not b.by_order:
-        values = b.rhs(p, orders)
-    elif explicit:
-        values = map(b.rhs, repeat(p), orders)  # one thunk alive at a time
-    else:
+    if b.by_order and not explicit and detail in _VALUE_DETAILS:
         column = _column(b, p, orders[-1])
-        values = map(column.__getitem__, orders)
-        if detail in _VALUE_DETAILS:
-            texts = _memo(
-                (b.rhs, q, detail), orders[-1],
-                lambda ns: [b.detail(p, n, None, column[n], None) for n in ns],
-            )
-            detail = lambda p, n, left, value, r: texts[n]  # noqa: E731
-    bound_id, citation = b.bound_id, b.citation
-    equality = b.equality and p.rich
-    reports = []
-    for n, left, value, r in zip(orders, lhs, values, rs):
-        exact = value if value.__class__ is int else value.exact
-        if exact is not None:
-            report = BoundReport(
-                bound_id, L, n, q, left, exact, None, left <= exact,
-                left == exact if equality else None, covered, citation,
-                detail(p, n, left, value, r),
-            )
-        else:
-            log2 = value.log2
-            holds = _decide_log(left, log2, _rebuilt_hp, b, p, n)
-            report = BoundReport(
-                bound_id, L, n, q, left, None, log2, holds, None, covered,
-                citation, detail(p, n, left, value, r),
-            )
-        reports.append(report)
-    return reports
+        texts = _memo(
+            (b.rhs, q, detail), orders[-1],
+            lambda ns: [detail(p, n, None, column[n], None) for n in ns],
+        )
+        details = map(texts.__getitem__, orders)
+    else:
+        details = map(detail, repeat(p), orders, lhs, values, rs)
+    return list(map(
+        BoundReport, repeat(b.bound_id), repeat(L), orders, repeat(q), lhs, rights, logs,
+        holds, repeat(None) if equal is None else equal, repeat(covered),
+        repeat(b.citation), details,
+    ))
 
 
 def _explicit(
@@ -993,7 +1020,7 @@ def _word_rows(
     any report is built, and the closure's B8/B9 run wherever they apply
     to the closure, whether or not they apply to w.
     """
-    _require_known(bound_ids)
+    bound_ids = _require_known(bound_ids)
     profile = word_profile(w)
     closure_ids = [b for b in _CLOSURE_GROUP if b in bound_ids]
     if skipped is not None:
@@ -1183,10 +1210,8 @@ def _fold_columns(b: _Bound, p, L: int) -> tuple:
     p holds the fields b reads, the per-length arrays of the word, as
     WordProfile names them, except that a B2 "fibres" is the sorted (n,
     size) pairs of its lpps fibres; B12 reads none, and p may be None.
-    The table gives both sides as columns, with a (q, n)-only right-hand
-    side from _RHS_MEMO, and each verdict is the integer comparison or
-    _decide_log that the report would carry; a slack is
-    BoundReport.slack_log2.
+    The counts come from _judge, as the reports' verdicts do, and the
+    slacks from _slacks, as BoundReport.slack_log2 does.
     """
     if b.lhs is not None:
         ns = _orders(b, p, L)
@@ -1196,35 +1221,10 @@ def _fold_columns(b: _Bound, p, L: int) -> tuple:
         lhs = [size for _, size in p.fibres]
     if not ns:
         return _EMPTY
-    if b.rich and not p.rich:
-        _require_rich(p.word, False)
-    log2 = math.log2
-    equalities = 0
-    if b.by_order:
-        column = _column(b, p, ns[-1])
-        passes = 0
-        slacks = []
-        for left, n in zip(lhs, ns):
-            value = column[n]
-            exact = value if value.__class__ is int else value.exact
-            if exact is not None:
-                if left <= exact:
-                    passes += 1
-                if left:
-                    slacks.append(log2(exact) - log2(left))
-            else:
-                if _decide_log(left, value.log2, _rebuilt_hp, b, p, n):
-                    passes += 1
-                if left:
-                    slacks.append(value.log2 - log2(left))
-    else:
-        rhs = b.rhs(p, ns)
-        passes = sum(map(operator.le, lhs, rhs))
-        slacks = [log2(r) - log2(left) for left, r in zip(lhs, rhs) if left]
-        if b.equality and p.rich:
-            equalities = sum(map(operator.eq, lhs, rhs))
-    reports = len(lhs)
-    return (reports, passes, reports - passes, equalities, 0,
+    # unforced, a word that is not covered raises instead
+    _, _, rights, logs, holds, equal = _judge(b, p, ns, lhs)
+    reports, passes, slacks = len(lhs), sum(holds), _slacks(lhs, rights, logs)
+    return (reports, passes, reports - passes, 0 if equal is None else sum(equal), 0,
             min(slacks, default=None), max(slacks, default=None))
 
 
@@ -1405,8 +1405,7 @@ def sweep_rich(
     _check_alphabet(q)
     if max_len < 0:
         raise ValueError("length must be >= 0")
-    _require_known(bound_ids)
-    ids = tuple(b for b in BOUND_IDS if b in set(bound_ids))
+    ids = _require_known(bound_ids)
     word_bounds = tuple(b for b in ids if b != "B12")
     shards = _sharded(
         _sweep_below, q, max_len, True, jobs, DEFAULT_SHARD_PREFIX,

@@ -835,6 +835,18 @@ def test_evaluate_word_rejects_unknown_bound_at_explicit_order():
         sweep_rich(2, 3, "B1")
 
 
+def test_evaluate_word_reads_each_bound_id_once_in_table_order():
+    # repeated or unordered ids give each bound's reports once, in BOUND_IDS
+    # order, at explicit orders as at every order, and in sweep_rich
+    assert len(evaluate_word(W3, ["B1", "B1"], [3])) == 1
+    assert [r.bound_id for r in evaluate_word(W3, ["B3", "B1"], [5])] == ["B1", "B3"]
+    for ns in ([3], [5, 4], None):
+        want = evaluate_word(W3, ["B1", "B3", "B12"], ns, include_closure=True)
+        got = evaluate_word(W3, ["B12", "B3", "B1", "B3"], ns, include_closure=True)
+        assert got == want, ns
+    assert sweep_rich(2, 5, ("B3", "B1", "B3")).bound_ids == ("B1", "B3")
+
+
 def test_evaluate_word_force_on_non_rich():
     with pytest.raises(RichnessRequiredError):
         evaluate_word(WITNESS, bound_ids=["B9"], ns=[4])
@@ -1008,7 +1020,9 @@ def _reference_fold(agg, report):
 
 
 def _reference_sweep(q, max_len, ids, include_closure):
-    """(words, per_bound, every violating report) from evaluate_word's reports."""
+    """sweep_rich's JSON less the timing, from evaluate_word's reports on
+    every rich word, each folded once, and B12's at orders 1..max_len; its
+    "violating" holds every violating report, uncapped, as BoundReports."""
     keys = ("reports", "passes", "violations", "equalities", "uncovered",
             "min_slack_log2", "max_slack_log2")
     per_bound = {b: dict.fromkeys(keys, 0) for b in ids}
@@ -1029,24 +1043,37 @@ def _reference_sweep(q, max_len, ids, include_closure):
             _reference_fold(per_bound["B12"], r)
             if not r.holds:
                 violating.append(r)
-    return words, per_bound, violating
-
-
-def _float_bits(per_bound):
-    """per_bound with every float spelled out exactly."""
     return {
-        b: {k: v.hex() if isinstance(v, float) else v for k, v in agg.items()}
-        for b, agg in per_bound.items()
+        "q": q,
+        "max_len": max_len,
+        "bound_ids": list(ids),
+        "include_closure": include_closure,
+        "words": words,
+        "reports": sum(agg["reports"] for agg in per_bound.values()),
+        "violations": len(violating),
+        "per_bound": per_bound,
+        "violating": violating,
     }
 
 
-def _assert_sweep_matches(summary, reference, cap):
-    words, per_bound, violating = reference
-    assert summary.words == words
-    assert _float_bits(summary.per_bound) == _float_bits(per_bound)
-    assert summary.reports == sum(agg["reports"] for agg in per_bound.values())
-    assert summary.violations == len(violating)
-    assert summary.violating == tuple(violating[:cap])
+def _exact(obj):
+    """obj with every float spelled out as float.hex."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_exact(v) for v in obj]
+    return obj
+
+
+def _assert_sweep_matches(summary, reference, cap=50):
+    """summary's JSON less the timing, floats exact, is the reference's with
+    its violating reports cut at cap."""
+    violating = [r.to_json_dict() for r in reference["violating"][:cap]]
+    got = summary.to_json_dict()
+    got.pop("elapsed_seconds")
+    assert _exact(got) == _exact({**reference, "violating": violating})
 
 
 @pytest.mark.parametrize("q,max_len", [(2, 10), (3, 7), (4, 5)])
@@ -1087,8 +1114,8 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
     ))
     ids = ("B8", "B9", "B10", "B11")
     reference = _reference_sweep(3, 6, ids, True)
-    assert {r.bound_id for r in reference[2]} == {"B8", "B10"}
-    assert len(reference[2]) > 200
+    assert {r.bound_id for r in reference["violating"]} == {"B8", "B10"}
+    assert len(reference["violating"]) > 200
     for cap, jobs in ((7, 1), (50, 1), (10**6, 1), (30, 2)):
         summary = sweep_rich(
             3, 6, ids, include_closure=True, jobs=jobs, violation_cap=cap
@@ -1118,7 +1145,7 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
     ))
     ids = ("B2", "B8")
     reference = _reference_sweep(3, 6, ids, True)
-    details = {r.detail for r in reference[2] if r.bound_id == "B2"}
+    details = {r.detail for r in reference["violating"] if r.bound_id == "B2"}
     canonical_details = {
         r.detail for n in range(7) for w in enumerate_rich(3, n, canonical=True)
         for r in evaluate_word(w, ("B2",)) if not r.holds
@@ -1147,7 +1174,7 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
     ))
     ids = ("B9", "B12")
     reference = _reference_sweep(3, 6, ids, True)
-    assert [r.n for r in reference[2]] == [3, 5, 6]
+    assert [r.n for r in reference["violating"]] == [3, 5, 6]
     for cap in (2, 10**6):
         _assert_sweep_matches(sweep_rich(3, 6, ids, violation_cap=cap), reference, cap)
 
@@ -1169,7 +1196,7 @@ def test_sweep_decides_table_near_ties_at_high_precision(monkeypatch):
     assert {(r.lhs == 1, r.holds) for r in reports} == {(True, True), (False, False)}
     ids = ("B3", "B5", "B8")
     reference = _reference_sweep(3, 6, ids, True)
-    assert reference[1]["B5"]["max_slack_log2"] == 0.0
+    assert reference["per_bound"]["B5"]["max_slack_log2"] == 0.0
     precisions = []
     workprec = mpmath.workprec
 
@@ -1206,74 +1233,25 @@ def _unit(reports):
     return tuple(agg[k] for k in bounds._KEYS)
 
 
-def _per_word_summary(q, max_len, ids, include_closure, cap=50):
-    """sweep_rich's JSON less the timing, folding every rich word's reports once."""
-    units = dict.fromkeys(ids, bounds._EMPTY)
-    word_ids = tuple(b for b in ids if b != "B12")
-    words, by_length = 0, [[] for _ in range(max_len + 1)]
-    for symbols, _ in _walk(q, (), max_len, False):
-        words += 1
-        w = Word.from_symbols(symbols, q)
-        reports = evaluate_word(w, word_ids, include_closure=include_closure)
-        for b in word_ids:
-            unit = _unit(r for r in reports if r.bound_id == b)
-            units[b] = bounds._merge(units[b], unit, 1)
-        by_length[len(symbols)] += [r for r in reports if not r.holds]
-    violating = [r for reports in by_length for r in reports]
-    if "B12" in ids:
-        reports = [check_ceil_product_lemma(n) for n in range(1, max(max_len, 1) + 1)]
-        units["B12"] = _unit(reports)
-        violating += [r for r in reports if not r.holds]
-    per_bound = {b: dict(zip(bounds._KEYS, unit)) for b, unit in units.items()}
-    return {
-        "q": q,
-        "max_len": max_len,
-        "bound_ids": list(ids),
-        "include_closure": include_closure,
-        "words": words,
-        "reports": sum(agg["reports"] for agg in per_bound.values()),
-        "violations": sum(agg["violations"] for agg in per_bound.values()),
-        "per_bound": per_bound,
-        "violating": [r.to_json_dict() for r in violating[:cap]],
-    }
-
-
-def _exact(obj):
-    """obj with every float spelled out as float.hex."""
-    if isinstance(obj, float):
-        return obj.hex()
-    if isinstance(obj, dict):
-        return {k: _exact(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_exact(v) for v in obj]
-    return obj
-
-
-def _summary_json(summary):
-    d = summary.to_json_dict()
-    d.pop("elapsed_seconds")
-    return _exact(d)
-
-
 @pytest.mark.parametrize("q,max_len", [(2, 12), (3, 8), (4, 5)])
 @pytest.mark.parametrize("include_closure", [True, False])
 def test_orbit_weighted_sweep_equals_the_per_word_fold(
     monkeypatch, q, max_len, include_closure
 ):
-    reference = _exact(_per_word_summary(q, max_len, BOUND_IDS, include_closure))
+    reference = _reference_sweep(q, max_len, BOUND_IDS, include_closure)
     # a shard prefix of 3 makes jobs=2 run the prefix-sharded pool
     monkeypatch.setattr(bounds, "DEFAULT_SHARD_PREFIX", 3)
     for jobs in (1, 2):
         summary = sweep_rich(q, max_len, include_closure=include_closure, jobs=jobs)
-        assert _summary_json(summary) == reference
+        _assert_sweep_matches(summary, reference)
 
 
 @pytest.mark.parametrize("q,max_len", [(2, 10), (3, 6)])
 def test_sweep_that_flushes_its_memo_equals_the_per_word_fold(monkeypatch, q, max_len):
     # a memo of at most ten signatures is merged and cleared many times
-    reference = _exact(_per_word_summary(q, max_len, BOUND_IDS, True))
+    reference = _reference_sweep(q, max_len, BOUND_IDS, True)
     monkeypatch.setattr(bounds, "_UNITS_CAP", 10)
-    assert _summary_json(sweep_rich(q, max_len)) == reference
+    _assert_sweep_matches(sweep_rich(q, max_len), reference)
 
 
 # --- the sweep's column fold against the reports it stands for ---
@@ -1354,10 +1332,10 @@ def test_bound_reads_declare_every_field_its_rows_read():
 
 @pytest.mark.parametrize("ids", [("B12",), ()])
 def test_sweep_without_word_bounds_profiles_no_word(monkeypatch, ids):
-    reference = _exact(_per_word_summary(2, 8, ids, True))
+    reference = _reference_sweep(2, 8, ids, True)
 
     def refuse(w):
         raise AssertionError("profiled a word")
 
     monkeypatch.setattr(bounds, "word_profile", refuse)
-    assert _summary_json(sweep_rich(2, 8, ids)) == reference
+    _assert_sweep_matches(sweep_rich(2, 8, ids), reference)

@@ -14,10 +14,14 @@ force; check_upsilon_bound runs with the lpps of each switch core of w
 and with the empty word.  A raised error is hashed as its type and
 message.
 
+The third hash covers the sweep_rich summaries of q = 2 up to length 12,
+q = 3 up to 8 and q = 4 up to 5, each with and without the closure: each
+summary's JSON less elapsed_seconds, floats written with float.hex.
+
     PYTHONPATH=src python3 tools/report_hash.py [--expect HASH]
 
-Prints the report count and the sha256 of each hash; with --expect, exits
-1 when the first hash differs.
+Prints the counts and the sha256 of each hash; with --expect, exits 1
+when the first hash differs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 from richlab import bounds
-from richlab.bounds import evaluate_word
+from richlab.bounds import evaluate_word, sweep_rich
 from richlab.paltree import lpps
 from richlab.structures import switch_cores
 from richlab.words import Word
@@ -39,6 +43,7 @@ from richlab.words import Word
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ((2, 10), (3, 6), (4, 4))
 EXPLICIT_MAX_LEN = 7
+SWEEPS = ((2, 12), (3, 8), (4, 5))
 
 # the check_* functions of a word and an order that take force
 FORCED_CHECKS = (
@@ -119,6 +124,30 @@ def explicit_hash() -> tuple[int, int, str]:
     return calls, errors, digest.hexdigest()
 
 
+def _hex_floats(obj):
+    """obj, a JSON value, with every float written with float.hex."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hex_floats(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_hex_floats(v) for v in obj]
+    return obj
+
+
+def sweep_hash() -> tuple[int, str]:
+    """(summaries, sha256 hex) of the sweep_rich summaries at SWEEPS."""
+    digest = hashlib.sha256()
+    summaries = 0
+    for q, max_len in SWEEPS:
+        for include_closure in (True, False):
+            payload = sweep_rich(q, max_len, include_closure=include_closure).to_json_dict()
+            payload.pop("elapsed_seconds")
+            digest.update((json.dumps(_hex_floats(payload)) + "\n").encode())
+            summaries += 1
+    return summaries, digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--expect", help="exit 1 unless the first hash is this one")
@@ -127,6 +156,8 @@ def main(argv=None) -> int:
     print(f"words={words} reports={reports} sha256={hexdigest}")
     calls, errors, explicit = explicit_hash()
     print(f"explicit calls={calls} errors={errors} sha256={explicit}")
+    summaries, sweeps = sweep_hash()
+    print(f"sweep summaries={summaries} sha256={sweeps}")
     return 0 if args.expect in (None, hexdigest) else 1
 
 
