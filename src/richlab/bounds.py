@@ -26,7 +26,9 @@ reports evaluate_word and the sweep add, is profiled by one function,
 _closure_profile: a palindrome's factor sets are closed under reversal
 at every order, and B8/B9 read no switch, so it needs only the
 closure's suffix automaton and an Eertree extended by the letters the
-closure adds.
+closure adds: the word's own, the carried tree in the sweep and in
+evaluate_word the run that profiled the word (_profile_run), so no
+letter of the word is appended twice.
 
 sweep_rich walks every canonical rich word, weighted by the size of its
 letter orbit, and folds the columns straight into per-bound units
@@ -114,21 +116,24 @@ class BoundReport:
         self, bound_id, word_length, n, q, lhs, rhs, rhs_log2, holds, equality,
         covered, citation, detail,
     ):
-        # each field through its slot descriptor: the generated frozen
-        # __init__ goes through object.__setattr__ per field, and verify
-        # builds thousands of reports per word
-        _set_bound_id(self, bound_id)
-        _set_word_length(self, word_length)
-        _set_n(self, n)
-        _set_q(self, q)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_rhs_log2(self, rhs_log2)
-        _set_holds(self, holds)
-        _set_equality(self, equality)
-        _set_covered(self, covered)
-        _set_citation(self, citation)
-        _set_detail(self, detail)
+        # filled as a _Filling, which has the same slots and plain stores,
+        # then turned back: the generated frozen __init__ goes through
+        # object.__setattr__ per field, and verify builds thousands of
+        # reports per word
+        _setattr(self, "__class__", _Filling)
+        self.bound_id = bound_id
+        self.word_length = word_length
+        self.n = n
+        self.q = q
+        self.lhs = lhs
+        self.rhs = rhs
+        self.rhs_log2 = rhs_log2
+        self.holds = holds
+        self.equality = equality
+        self.covered = covered
+        self.citation = citation
+        self.detail = detail
+        self.__class__ = BoundReport
 
     @property
     def rhs_is_log(self) -> bool:
@@ -146,11 +151,10 @@ class BoundReport:
         return from_json_fields(cls, d)
 
 
-(
-    _set_bound_id, _set_word_length, _set_n, _set_q, _set_lhs, _set_rhs,
-    _set_rhs_log2, _set_holds, _set_equality, _set_covered, _set_citation,
-    _set_detail,
-) = (vars(BoundReport)[name].__set__ for name in BoundReport.__slots__)
+class _Filling:
+    """A BoundReport while BoundReport.__init__ fills its slots."""
+
+    __slots__ = BoundReport.__slots__
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,12 @@ def word_profile(w: Word) -> WordProfile:
     A palindromic closure is never profiled here: _closure_profile needs
     only its suffix automaton and an Eertree.
     """
+    return _profile_run(w)[0]
+
+
+def _profile_run(w: Word) -> tuple[WordProfile, Eertree, list[int]]:
+    """word_profile(w), the Eertree run that holds w, and its palindrome
+    counts per length as a list, so the closure extends that run."""
     s = w.chars
     L = len(s)
 
@@ -245,7 +255,7 @@ def word_profile(w: Word) -> WordProfile:
         fibres=tuple(by_order),
     )
     _setattr(profile, "lps_length", node_length(tree.last_node()))
-    return profile
+    return profile, tree, pal
 
 
 def _factor_counts(length: list[int], link: list[int], L: int) -> tuple[int, ...]:
@@ -263,11 +273,12 @@ def _closure_profile(c: str, q: int, tree: Eertree, pal: list[int]) -> WordProfi
     """The profile of c, a palindromic closure, less switches.
 
     tree holds a prefix of c and pal counts that prefix's palindromes per
-    length: the sweep passes its carried tree and counts, _word_rows a
-    fresh tree and [1].  pal and rich: tree is extended by the rest of c
-    and left holding c (the sweep pops it back); the list pal is not
-    changed.  fac: c's suffix automaton, as in word_profile.  closed: all
-    True, since the factors of a palindrome are closed under reversal.
+    length: the sweep passes its carried tree and counts, _word_rows the
+    tree and counts of _profile_run, which hold the word.  pal and rich:
+    tree is extended by the rest of c and left holding c (the sweep pops
+    it back); the list pal is not changed.  fac: c's suffix automaton, as
+    in word_profile.  closed: all True, since the factors of a palindrome
+    are closed under reversal.
     sw, gamma_max and fibres are None: a closure's B8/B9 reports read none
     of them.
     """
@@ -1021,7 +1032,7 @@ def _word_rows(
     to the closure, whether or not they apply to w.
     """
     bound_ids = _require_known(bound_ids)
-    profile = word_profile(w)
+    profile, tree, pal = _profile_run(w)
     closure_ids = [b for b in _CLOSURE_GROUP if b in bound_ids]
     if skipped is not None:
         bound_ids = _admissible(bound_ids, profile, ns, skipped)
@@ -1037,7 +1048,7 @@ def _word_rows(
     if include_closure and closure_ids:
         closure = _closure_chars(w.chars, profile.lps_length)
         if closure != w.chars:
-            cp = _closure_profile(closure, profile.q, Eertree(), [1])
+            cp = _closure_profile(closure, profile.q, tree, pal)
             if skipped is not None:
                 closure_ids = _admissible(closure_ids, cp, ns, {})
             # none left: an order past the closure, which has no switch

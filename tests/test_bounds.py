@@ -2,7 +2,6 @@
 report serialization, and the sweep runner."""
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -315,6 +314,38 @@ def test_closure_profile_equals_word_profile_of_the_closure():
     on_closure = [r for r in reports if r.word_length == len(palindromic_closure(w))]
     assert {r.bound_id for r in on_closure} == {"B8", "B9"}
     assert not all(r.covered for r in on_closure)
+
+
+def test_closure_extends_the_words_own_tree(monkeypatch):
+    # evaluate_word appends each letter of the closure once: word_profile's
+    # run holds w, and the closure's profile extends that same tree; its
+    # reports equal those of a closure profiled on a fresh tree
+    appends = []
+    append = Eertree.append
+
+    def counted(self, c):
+        appends.append(c)
+        return append(self, c)
+
+    monkeypatch.setattr(Eertree, "append", counted)
+    rng = random.Random(23)
+    words = [W3, _fibonacci_prefix(200), _random_rich_word(rng, 3, 150)]
+    non_rich = W(WITNESS.text + "011")
+    for w in (*words, non_rich):
+        c = bounds._closure_chars(w.chars, word_profile(w).lps_length)
+        assert c != w.chars
+        appends.clear()
+        reports = evaluate_word(w, include_closure=True, force=True)
+        assert len(appends) == len(c), w
+        fresh = bounds._closure_profile(c, w.alphabet_size, Eertree(), [1])
+        want = list(bounds._rows(fresh, [bounds._CLOSURE_GROUP], None, True))
+        on_closure = [r for r in reports if r.word_length == len(c)]
+        assert on_closure == want and want, w
+    # a palindrome is its own closure: one run over its letters
+    for w in (palindromic_closure(W3), WITNESS):
+        appends.clear()
+        evaluate_word(w, include_closure=True, force=True)
+        assert len(appends) == len(w)
 
 
 # --- B1 ---
@@ -743,6 +774,45 @@ def test_report_is_a_frozen_record_with_slots():
         assert BoundReport.from_json_dict(json.loads(json.dumps(r.to_json_dict()))) == r
 
 
+def test_every_report_comes_from_its_init(monkeypatch):
+    # BoundReport.__init__ builds every report (the benchmark counts reports
+    # by wrapping it), and each comes out a frozen BoundReport: B2's per
+    # lpps value, B12's shared ones, the closure's B8/B9, and explicit
+    # orders, one of them past |w|
+    monkeypatch.setattr(bounds, "_RHS_MEMO", {})
+    built = []
+    init = BoundReport.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(BoundReport, "__init__", counted)
+    got = evaluate_word(W3, include_closure=True)
+    got += evaluate_word(W37, include_closure=True)
+    got += [
+        check_switch_palindrome_bound(W3, 3),
+        check_upsilon_bound(W3, 3, W("")),
+        check_gamma_closed_form(W3, len(W3) + 6),
+        check_ceil_product_lemma(7),
+        *check_final_bounds(W3, 5),
+    ]
+    assert {"B2", "B8", "B12"} <= {r.bound_id for r in got}
+    assert any(r.word_length == len(palindromic_closure(W3)) for r in got)
+    shared = [r for r in got if r.bound_id == "B12" and r.word_length is None]
+    assert len({id(r) for r in shared}) < len(shared)  # W3's are W37's
+    distinct = {id(r): r for r in got}
+    assert len(built) == len(distinct) and {id(r) for r in built} == set(distinct)
+    for r in distinct.values():
+        assert type(r) is BoundReport
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.holds = not r.holds
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.detail
+        copy = pickle.loads(pickle.dumps(r))
+        assert type(copy) is BoundReport and copy == r
+
+
 def test_report_slack():
     rep = check_reversal_inequality(W3, 3)
     assert rep.slack_log2() == pytest.approx(0.0)
@@ -876,7 +946,16 @@ def _assert_memo_matches_explicit_orders(w):
 def test_memo_orders_equal_explicit_orders(monkeypatch):
     # the words' reports come from the process-wide memo of the (q, n)-only
     # right-hand sides, the explicit orders compute theirs afresh
-    monkeypatch.setattr(bounds, "word_profile", functools.cache(bounds.word_profile))
+    run, runs = bounds._profile_run, {}
+
+    def cached(w):
+        # each word is profiled once, and again after a closure profile
+        # has extended the run's tree past w
+        if w not in runs or len(runs[w][1]) != len(w):
+            runs[w] = run(w)
+        return runs[w]
+
+    monkeypatch.setattr(bounds, "_profile_run", cached)
     words = [
         _fibonacci_prefix(300),
         _random_rich_word(random.Random(14), 3, 300),
@@ -1338,4 +1417,5 @@ def test_sweep_without_word_bounds_profiles_no_word(monkeypatch, ids):
         raise AssertionError("profiled a word")
 
     monkeypatch.setattr(bounds, "word_profile", refuse)
+    monkeypatch.setattr(bounds, "_profile_run", refuse)
     _assert_sweep_matches(sweep_rich(2, 8, ids), reference)

@@ -254,22 +254,22 @@ def test_verify_order_runs_bounds_skipped_on_the_word_on_its_closure(capsys):
     ],
 )
 def test_verify_profiles_each_word_once(capsys, monkeypatch, argv, profiled):
-    # word_profile profiles the word, and never its closure, which
-    # _closure_profile profiles
+    # _profile_run (word_profile's one pass) profiles the word, and never
+    # its closure, which _closure_profile profiles
     from richlab import bounds
 
     seen = []
-    word_profile, closure_profile = bounds.word_profile, bounds._closure_profile
+    profile_run, closure_profile = bounds._profile_run, bounds._closure_profile
 
     def word_spy(w):
         seen.append(w.text)
-        return word_profile(w)
+        return profile_run(w)
 
     def closure_spy(c, q, tree, pal):
         seen.append(f"closure {Word(c, q).text}")
         return closure_profile(c, q, tree, pal)
 
-    monkeypatch.setattr(bounds, "word_profile", word_spy)
+    monkeypatch.setattr(bounds, "_profile_run", word_spy)
     monkeypatch.setattr(bounds, "_closure_profile", closure_spy)
     code, _, _ = run(capsys, ["verify", *argv])
     assert code == 0 and seen == profiled
