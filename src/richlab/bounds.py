@@ -28,7 +28,12 @@ at every order, and B8/B9 read no switch, so it needs only the
 closure's suffix automaton and an Eertree extended by the letters the
 closure adds: the word's own, the carried tree in the sweep and in
 evaluate_word the run that profiled the word (_profile_run), so no
-letter of the word is appended twice.
+letter of the word is appended twice.  evaluate_word, the CLI's verify
+and the sweep's violating words build each word's batch of reports with
+the cyclic garbage collector paused (_collected): a report holds no
+container, so reference counting frees all that a batch drops, and a
+collector pass would only re-walk the reports built so far.  No result
+changes, and the collector's state comes back on every exit.
 
 sweep_rich walks every canonical rich word, weighted by the size of its
 letter orbit, and folds the columns straight into per-bound units
@@ -57,6 +62,7 @@ force=True evaluates anyway and marks the report as not covered.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -1058,6 +1064,23 @@ def _word_rows(
     return chain.from_iterable(parts)
 
 
+def _collected(rows: Callable[[], Iterable]) -> list:
+    """list(rows()), rows called with the cyclic garbage collector paused.
+
+    The pause relies on reports being acyclic: a report, or its JSON dict,
+    holds only str, int, float, bool and None, so reference counting frees
+    all that a batch drops.  It changes no result, and on every exit the
+    collector is on exactly when it was on at entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(rows())
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------- check_*
 # Each builds its reports through _rows at its one explicit order, as
 # evaluate_word(w, ids, [n]) does.
@@ -1173,7 +1196,7 @@ def evaluate_word(
     include_closure additionally runs B8/B9 on the palindromic closure,
     whose factor sets are reversal-closed at every order.
     """
-    return list(_word_rows(w, bound_ids, ns, force, include_closure))
+    return _collected(lambda: _word_rows(w, bound_ids, ns, force, include_closure))
 
 
 # ---------------------------------------------------------------- sweep
@@ -1376,10 +1399,10 @@ def _violating_reports(
         if len(reports) >= cap:
             break
         w = Word.from_symbols(symbols, q)
-        reports += [
+        reports += _collected(lambda: (
             r for r in _word_rows(w, bound_ids, None, False, include_closure)
             if not r.holds
-        ]
+        ))
     return reports[:cap]
 
 

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BOUND_IDS, _word_rows, sweep_rich, word_profile
+from .bounds import BOUND_IDS, _collected, _word_rows, sweep_rich, word_profile
 from .crosscheck import check_cell, exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
@@ -162,9 +162,9 @@ def _cmd_verify(args) -> int:
     rows = _word_rows(w, ids, ns, args.force, args.with_closure, skipped)
     for bound_id, reason in (skipped or {}).items():
         print(f"skipped {bound_id}: {reason}", file=sys.stderr)
-    reports = list(rows)
-    _emit_json([r.to_json_dict() for r in reports])
-    return 0 if all(r.holds for r in reports) else 1
+    reports = _collected(lambda: (r.to_json_dict() for r in rows))
+    _emit_json(reports)
+    return 0 if all(r["holds"] for r in reports) else 1
 
 
 # ---------------------------------------------------------------- sweep

@@ -2,6 +2,7 @@
 report serialization, and the sweep runner."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -923,6 +924,56 @@ def test_evaluate_word_force_on_non_rich():
     reports = evaluate_word(WITNESS, bound_ids=["B9"], ns=[4], force=True)
     assert len(reports) == 1
     assert not reports[0].holds
+
+
+# --- the collector pause ---
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_evaluate_word_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        evaluate_word(W3, include_closure=True)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RichnessRequiredError):
+            evaluate_word(W("00101100"), ["B1"], [3])
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="unknown bound ids"):
+            evaluate_word(W3, ["B99"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_evaluate_word_builds_its_reports_without_a_collection():
+    w = _fibonacci_prefix(300)  # a word of the benchmark's verify_long pool
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        reports = evaluate_word(w, include_closure=True)
+        # len allocates nothing the collector tracks, so no pass starts here
+        during = len(starts)
+        unreachable = gc.collect()
+    finally:
+        gc.callbacks.remove(hook)
+    # the reports alone are more tracked objects than a young collection
+    # waits for
+    assert len(reports) > gc.get_threshold()[0]
+    assert during == 0
+    # the pause leaves no garbage for the collector: every slot is atomic,
+    # so reference counting freed all that the call dropped
+    assert unreachable == 0
+    names = [f.name for f in dataclasses.fields(BoundReport)]
+    types = {type(getattr(r, name)) for r in reports for name in names}
+    assert types <= {str, int, float, bool, type(None)}
 
 
 def _assert_memo_matches_explicit_orders(w):

@@ -18,10 +18,10 @@ The third hash covers the sweep_rich summaries of q = 2 up to length 12,
 q = 3 up to 8 and q = 4 up to 5, each with and without the closure: each
 summary's JSON less elapsed_seconds, floats written with float.hex.
 
-    PYTHONPATH=src python3 tools/report_hash.py [--expect HASH]
+    PYTHONPATH=src python3 tools/report_hash.py [--expect HASH [HASH [HASH]]]
 
-Prints the counts and the sha256 of each hash; with --expect, exits 1
-when the first hash differs.
+Prints the counts and the sha256 of each hash; with --expect, one to three
+hashes in print order, exits 1 when any of them differs.
 """
 
 from __future__ import annotations
@@ -150,15 +150,21 @@ def sweep_hash() -> tuple[int, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--expect", help="exit 1 unless the first hash is this one")
+    parser.add_argument(
+        "--expect", nargs="+", default=[], metavar="HASH",
+        help="exit 1 unless the first hashes are these, in print order",
+    )
     args = parser.parse_args(argv)
+    if len(args.expect) > 3:
+        parser.error("--expect takes at most three hashes")
     words, reports, hexdigest = report_hash()
     print(f"words={words} reports={reports} sha256={hexdigest}")
     calls, errors, explicit = explicit_hash()
     print(f"explicit calls={calls} errors={errors} sha256={explicit}")
     summaries, sweeps = sweep_hash()
     print(f"sweep summaries={summaries} sha256={sweeps}")
-    return 0 if args.expect in (None, hexdigest) else 1
+    got = [hexdigest, explicit, sweeps][: len(args.expect)]
+    return 0 if got == args.expect else 1
 
 
 if __name__ == "__main__":
