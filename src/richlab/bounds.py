@@ -6,10 +6,10 @@ each bound once: where it applies (orders, richness, reversal closure), and
 its two sides as columns, lhs(p, ns) and rhs(p, ns), the values at every
 order in ns read straight from a profile's per-length arrays.  A
 right-hand side is an exact integer or, when the value is astronomically
-large, its base-2 logarithm with a high-precision thunk; one that depends
+large, its base-2 logarithm with a closed form in integers; one that depends
 only on (q, n) is given one order at a time, rhs(p, n), and computed once
 per (q, n) in a process: _RHS_MEMO keeps its value and float log2, not the
-thunk, for every order up to the longest word met so far.  Beside them it
+form, for every order up to the longest word met so far.  Beside them it
 keeps the detail text of B5-B7, B10 and B11, which reads only that value,
 and B12's reports whole, which read n alone, so every word shares them.
 
@@ -51,10 +51,10 @@ fibres at each n.
 Comparison policy: the RHS is exact when its closed form is an integer
 (integral exponent) and log2(RHS) <= 512; otherwise _decide_log compares in
 float64 log-domain with margin 1e-9.  Anything inside the margin, or any
-candidate violation, is re-decided at 200-bit precision, and if the sides
-are still within 2^-160 there, at 1000 bits, where a gap below 2^-900
-counts as a tie and so as a pass.  A reported violation is never a
-floating-point artifact.
+candidate violation, is decided in integers from the closed form (_Form),
+both sides' logarithms bracketed ever finer (_lg_bracket), and one still
+undecided at _BRACKET_CAP bits raises UndecidedComparisonError: no
+verdict is a floating-point artifact or an assumed tie.
 
 Checks whose statement holds only for rich words reject non-rich input;
 force=True evaluates anyway and marks the report as not covered.
@@ -65,12 +65,11 @@ from __future__ import annotations
 import gc
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
-
-import mpmath
 
 from .enumeration import DEFAULT_SHARD_PREFIX, _check_alphabet, _orbit, _sharded, _walk
 from .paltree import Eertree, is_rich
@@ -87,7 +86,7 @@ BOUND_IDS = (
 
 MARGIN = 1e-9
 EXACT_LOG2_CAP = 512
-_ESCALATED_PREC = 200
+_BRACKET_CAP = 4096  # the finest precision, in bits, of _decide_log's brackets
 
 
 class RichnessRequiredError(ValueError):
@@ -96,6 +95,10 @@ class RichnessRequiredError(ValueError):
 
 class ClosureRequiredError(ValueError):
     """The factor set of order n+1 must be closed under reversal."""
+
+
+class UndecidedComparisonError(ArithmeticError):
+    """A log-domain comparison that _BRACKET_CAP bits of precision did not decide."""
 
 
 _setattr = object.__setattr__
@@ -472,28 +475,58 @@ def _require_closed(profile: WordProfile, n: int) -> None:
         )
 
 
-def _decide_log(lhs: int, rhs_log2: float, hp_rhs_log2, *args) -> bool:
-    """lhs <= 2**rhs_log2, margin-escalated so violations are exact.
+def _decide_log(lhs: int, rhs_log2: float, b: _Bound, p, n: int) -> bool:
+    """lhs <= rhs = b.rhs(p, n), a log-domain value of float log2 rhs_log2.
 
-    hp_rhs_log2(*args) is log2(rhs) at the current mpmath precision; it is
-    called only when the float margin does not decide.
+    Past the float margin, lhs - addend (a pass unless positive) and the
+    closed form built again from b.rhs are compared on _lg_bracket's
+    brackets, p doubling from 64 up to _BRACKET_CAP bits.
     """
-    if lhs <= 0:
+    if lhs <= 0 or math.log2(lhs) <= rhs_log2 - MARGIN:
         return True
-    lhs_log2 = math.log2(lhs)
-    if lhs_log2 <= rhs_log2 - MARGIN:
+    f = b.rhs(p, n).form
+    x = lhs - f.addend
+    if x <= 0:
         return True
-    # candidate violation or near-tie: re-decide at high precision
-    with mpmath.workprec(_ESCALATED_PREC):
-        left = mpmath.log(mpmath.mpf(lhs), 2)
-        right = hp_rhs_log2(*args)
-        if abs(left - right) > mpmath.mpf(2) ** (-(_ESCALATED_PREC - 40)):
-            return left <= right
-    with mpmath.workprec(1000):
-        left = mpmath.log(mpmath.mpf(lhs), 2)
-        right = hp_rhs_log2(*args)
-        # ties at this precision can only be genuine equality
-        return left <= right + mpmath.mpf(2) ** -900
+    prec = 64
+    while prec <= _BRACKET_CAP:
+        (x0, x1), (n0, n1), (d0, d1), (a0, a1), (b0, b1) = (
+            _lg_bracket(m, prec) for m in (x, f.c_num, f.c_den, f.a, f.b)
+        )
+        # each side's log2 times k_den * 2^(2 prec), between integers
+        if f.k_den * x1 << prec <= (f.k_den * (n0 - d1) << prec) + f.k_num * a0 * b0:
+            return True
+        if f.k_den * x0 << prec > (f.k_den * (n1 - d0) << prec) + f.k_num * a1 * b1:
+            return False
+        prec *= 2
+    raise UndecidedComparisonError(
+        f"{b.bound_id} at n={n}: lhs={lhs} vs rhs undecided at {_BRACKET_CAP} bits"
+    )
+
+
+def _lg_bracket(m: int, p: int) -> tuple[int, int]:
+    """Integers lo <= 2^p * log2(m) <= hi for an integer m >= 1, equal when
+    m is a power of two.
+
+    Each squaring of m's mantissa y in [1, 2) gives the next bit of
+    log2(y), 1 when y^2 >= 2, which then halves y^2.  y runs in fixed point
+    rounded down, then up, each run on its side of the true y under the
+    same bits: the first run's bits bound 2^p * log2(y) from below, its y
+    being >= 1, and the second's from above once 1 is added where its y,
+    at most 2, ends above 1 (y stays exactly 1 for a power of two).
+    """
+    e = m.bit_length() - 1
+    bits = p + 16
+    ends = []
+    for sign in (1, -1):  # sign * (sign * v >> s): v / 2^s rounded down, up
+        y, acc = sign * (sign * m << bits >> e), e
+        for _ in range(p):
+            y = sign * (sign * y * y >> bits)
+            acc <<= 1
+            if y >> bits + 1:
+                y, acc = sign * (sign * y >> 1), acc + 1
+        ends.append(acc + (sign < 0 and y > 1 << bits))
+    return ends[0], ends[1]
 
 
 def _slacks(lhs: Iterable[int], rhs: Iterable, rhs_log2: Iterable) -> list[float]:
@@ -508,78 +541,49 @@ def _slacks(lhs: Iterable[int], rhs: Iterable, rhs_log2: Iterable) -> list[float
 # ---------------------------------------------------------------- right-hand sides
 
 
+# A right-hand side rhs in plain integers, all positive but k_num >= 0:
+# log2(rhs - addend) = log2(c_num/c_den) + (k_num/k_den)*log2(a)*log2(b)
+_Form = namedtuple("_Form", "c_num c_den k_num k_den a b addend", defaults=(0,))
+
+
 class _Rhs(NamedTuple):
     """A closed-form right-hand side that may be too large to hold exactly."""
 
     exact: Optional[int]  # the value, when integral and at most EXACT_LOG2_CAP bits
     log2: float
-    # log2 at the current mpmath precision, for escalations; None once
-    # _by_order has read it
-    hp: Optional[Callable]
+    form: Optional[_Form]  # for decisions past the float margin; None in _RHS_MEMO
 
 
-def _int_log2_or_none(n: int) -> Optional[int]:
-    """log2(n) when n is a power of two, else None."""
-    if n >= 1 and n & (n - 1) == 0:
-        return n.bit_length() - 1
+def _exact(f: _Form) -> Optional[int]:
+    """f's value when it is c_num times an integral power of b, plus addend,
+    of at most EXACT_LOG2_CAP bits by its float log2; else None."""
+    e, r = divmod(f.k_num * (f.a.bit_length() - 1), f.k_den)  # k * lg a, if a = 2^i
+    if f.a & (f.a - 1) or f.c_den != 1 or r:
+        return None
+    if math.log2(f.c_num) + e * math.log2(f.b) <= EXACT_LOG2_CAP:
+        return f.c_num * f.b**e + f.addend
     return None
-
-
-def _exact_power(coeff: int, base: int, e: Optional[int], addend: int = 0) -> Optional[int]:
-    """coeff * base**e + addend when e is an integer and the power fits the cap."""
-    if e is not None and math.log2(coeff) + e * math.log2(base) <= EXACT_LOG2_CAP:
-        return coeff * base**e + addend
-    return None
-
-
-def _mp_log2(x) -> mpmath.mpf:
-    """log2(x) at the current mpmath precision.  The closed forms below write
-    their log2 once, over a base-2 log lg: math.log2, or _mp_log2 for hp."""
-    return mpmath.log(x, 2)
 
 
 def _power_rhs(coeff: int, k: int, q: int, n: int) -> _Rhs:
     """coeff * (4*q^10*n)**(k*log2(n)), the closed form of B5, B6 and B7."""
-    e = _int_log2_or_none(n)
-    exact = _exact_power(coeff, 4 * q**10 * n, None if e is None else k * e)
-
-    def log2(lg):
-        return lg(coeff) + k * lg(n) * (2 + 10 * lg(q) + lg(n))
-
-    return _Rhs(exact, log2(math.log2), lambda: log2(_mp_log2))
+    f, lg = _Form(coeff, 1, k, 1, n, 4 * q**10 * n), math.log2
+    return _Rhs(_exact(f), lg(coeff) + k * lg(n) * (2 + 10 * lg(q) + lg(n)), f)
 
 
 def _final_rhs(coeff: int, addend: int, q: int, n: int) -> _Rhs:
     """coeff * (8*q^10*n)**log2(2n) + addend, the closed form of B10 and B11."""
-    base = 8 * q**10 * n
-    exact = _exact_power(coeff, base, _int_log2_or_none(2 * n), addend)
-
-    def power_log2(lg):
-        return lg(coeff) + lg(2 * n) * lg(base)
-
-    t = power_log2(math.log2)
+    f = _Form(coeff, 1, 1, 1, 2 * n, 8 * q**10 * n, addend)
+    t = math.log2(coeff) + math.log2(2 * n) * math.log2(f.b)
     # fold in the small additive term; beyond float range it vanishes anyway
     log2 = t + math.log1p(addend * 2.0**-t) / math.log(2) if t <= 1020 else t
-
-    def hp():
-        t = power_log2(_mp_log2)
-        return t + _mp_log2(1 + mpmath.mpf(addend) / mpmath.power(2, t))
-
-    return _Rhs(exact, log2, hp)
+    return _Rhs(_exact(f), log2, f)
 
 
 def _ceil_product_rhs(n: int) -> _Rhs:
-    """(2*sqrt(n))**log2(n), exact when n = 4^t."""
-    e = _int_log2_or_none(n)
-    exact = None
-    if e is not None and e % 2 == 0:
-        exact = _exact_power(1, 2 << (e // 2), e)  # 2*sqrt(n) = 2^(e/2+1)
-
-    def log2(lg):
-        ln = lg(n)
-        return ln * (1 + ln / 2)
-
-    return _Rhs(exact, log2(math.log2), lambda: log2(_mp_log2))
+    """(2*sqrt(n))**log2(n) = n**(1 + log2(n)/2), exact when n = 4^t."""
+    f, ln = _Form(n, 1, 1, 2, n, n), math.log2(n)
+    return _Rhs(_exact(f), ln * (1 + ln / 2), f)
 
 
 def _ceil_product(n: int) -> int:
@@ -832,8 +836,8 @@ def _beyond(p: WordProfile) -> WordProfile:
 # n is for order n (entry 0 is None).  Each key starts with a bound's rhs
 # callable, so a bound that dataclasses.replace gave a new rhs never reads
 # another's columns:
-# - (b.rhs, q): b.rhs(p, n) at that q, numbers only, its high-precision
-#   thunk dropped (hp=None), so an escalation builds b.rhs(p, n) again;
+# - (b.rhs, q): b.rhs(p, n) at that q, its closed form dropped (form=None),
+#   so a decision past the float margin builds b.rhs(p, n) again;
 #   B12 reads no q, and its q is None;
 # - (b.rhs, q, b.detail): the report detail of B5-B7, B10 and B11, a text
 #   that reads only that right-hand side (_VALUE_DETAILS);
@@ -859,8 +863,8 @@ def _memo(key: tuple, top: int, entries: Callable) -> list:
 
 
 def _by_order(b: _Bound, p, ns: Iterable[int]) -> list:
-    """b.rhs(p, n) at each order in ns, numbers only (hp=None): each
-    high-precision thunk, a closure the collector tracks, is dropped at once."""
+    """b.rhs(p, n) at each order in ns, numbers only (form=None): the memo
+    keeps no closed form, which _decide_log builds again where it needs one."""
     return [
         v if v.__class__ is int else _Rhs(v.exact, v.log2, None)
         for v in map(b.rhs, repeat(p), ns)
@@ -873,11 +877,6 @@ def _column(b: _Bound, p, top: int) -> list:
     return _memo(key, top, lambda ns: _by_order(b, p, ns))
 
 
-def _rebuilt_hp(b: _Bound, p, n: int):
-    """log2(b.rhs(p, n)) at the current mpmath precision, for an escalation."""
-    return b.rhs(p, n).hp()
-
-
 def _judge(
     b: _Bound, p, orders: Sequence[int], lhs: Sequence[int], force=False, explicit=False
 ) -> tuple:
@@ -888,9 +887,9 @@ def _judge(
     richness check (RichnessRequiredError unless forced); then per order
     the right-hand side (an int or an _Rhs, for the detail text), the
     report fields rhs, rhs_log2, holds (an integer comparison, or
-    _decide_log for a log-domain value, whose escalation rebuilds the thunk
-    from b.rhs) and equality (lhs == rhs where b attaches it on p's word,
-    else equal is None).  A (q, n)-only right-hand side comes from
+    _decide_log for a log-domain value, which past the float margin
+    rebuilds the closed form from b.rhs) and equality (lhs == rhs where b
+    attaches it on p's word, else equal is None).  A (q, n)-only right-hand side comes from
     _RHS_MEMO, or afresh at explicit orders.  rhs_log2, holds and equal
     may be iterators, to be read once, in step with orders.
     """
@@ -908,7 +907,7 @@ def _judge(
             g = None if e is not None else v.log2
             rights.append(e)
             logs.append(g)
-            holds.append(left <= e if g is None else _decide_log(left, g, _rebuilt_hp, b, p, n))
+            holds.append(left <= e if g is None else _decide_log(left, g, b, p, n))
     equal = map(operator.eq, lhs, values) if b.equality and p.rich else None
     return covered, values, rights, logs, holds, equal
 

@@ -4,7 +4,8 @@ Subcommands: analyze, switches, closure, verify, sweep, enumerate,
 oracle-check.  stdout carries data only (JSON by default, CSV where a
 table is more natural); diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when a bound violation or oracle mismatch was found, 2 on
-usage or parse errors, 3 on any other (internal) error, reported as one
+usage or parse errors, 3 on a bound comparison left undecided
+(UndecidedComparisonError) or any other internal error, reported as one
 line on stderr instead of a traceback.  A reader that closes stdout early
 leaves the exit code as it is.
 

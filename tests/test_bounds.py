@@ -10,7 +10,6 @@ import pickle
 import random
 from types import SimpleNamespace
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -676,33 +675,96 @@ def test_b12_sweep_to_a_million():
 # --- log-domain decision policy ---
 
 
+def _power_of_two(num, den=1):
+    """The log-domain right-hand side 2**(num/den) in the table's closed
+    form: the coefficient 2**num when num < 0, else (num/den)*lg 2*lg 2."""
+    form = (bounds._Form(1, 2**-num, 0, 1, 2, 2) if num < 0
+            else bounds._Form(1, 1, num, den, 2, 2))
+    return bounds._Rhs(None, num / den, form)
+
+
+def _decide(lhs, rhs):
+    """_decide_log on lhs and rhs, as the table's bound "T" at n = 1."""
+    constant = SimpleNamespace(bound_id="T", rhs=lambda p, n: rhs)
+    return _decide_log(lhs, rhs.log2, constant, None, 1)
+
+
+def _recorded_precisions(monkeypatch):
+    """The set of precisions _lg_bracket is called at, filled as it runs."""
+    precisions = set()
+    bracket = bounds._lg_bracket
+
+    def recording(m, p):
+        precisions.add(p)
+        return bracket(m, p)
+
+    monkeypatch.setattr(bounds, "_lg_bracket", recording)
+    return precisions
+
+
 def test_log_decision_escalates_instead_of_guessing():
     # ties and near-ties must be decided exactly, not by float luck
-    assert _decide_log(2**100, 100.0, lambda: mpmath.mpf(100))
-    assert not _decide_log(2**100 + 1, 100.0, lambda: mpmath.mpf(100))
-    assert _decide_log(2**100 - 1, 100.0, lambda: mpmath.mpf(100))
-    assert _decide_log(0, -5.0, lambda: mpmath.mpf(-5))
+    assert _decide(2**100, _power_of_two(100))
+    assert not _decide(2**100 + 1, _power_of_two(100))
+    assert _decide(2**100 - 1, _power_of_two(100))
+    assert _decide(0, _power_of_two(-5))
 
 
 def test_log_decision_escalates_through_both_precisions(monkeypatch):
-    # lhs within 2**-160 of the rhs is left to 1000 bits; a wider gap is
-    # decided at 200
-    precisions = []
-    workprec = mpmath.workprec
-
-    def recording(prec):
-        precisions.append(prec)
-        return workprec(prec)
-
-    monkeypatch.setattr(mpmath, "workprec", recording)
+    # lhs = 2**300 + 1 lies 2**-300 above the rhs in lg, which takes more
+    # doublings of the precision than a gap of 2**-30; the exact tie 2**300
+    # is decided at the first precision, and so is 2**300 - 1, whose
+    # bracket rounded up ends at 300 exactly
+    precisions = _recorded_precisions(monkeypatch)
     k = 300
-    for lhs, verdict in ((2**k - 1, True), (2**k, True), (2**k + 1, False)):
+    for lhs, verdict, used in (
+        (2**k - 1, True, {64}), (2**k, True, {64}), (2**k + 1, False, {64, 128, 256, 512}),
+    ):
         precisions.clear()
-        assert _decide_log(lhs, float(k), lambda: mpmath.mpf(k)) is verdict
-        assert precisions == [200, 1000]
+        assert _decide(lhs, _power_of_two(k)) is verdict
+        assert precisions == used
     precisions.clear()
-    assert _decide_log(2**30 + 1, 30.0, lambda: mpmath.mpf(30)) is False
-    assert precisions == [200]
+    assert _decide(2**30 + 1, _power_of_two(30)) is False
+    assert precisions == {64}
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 5])
+def test_lg_bracket_holds_the_logarithm(p):
+    # 2**lo <= m**(2**p) <= 2**hi, checked in integers; lo == hi exactly
+    # at the powers of two
+    for m in [*range(1, 1001), 3**40, 2**61 - 1, 10**30 + 7, 2**100]:
+        lo, hi = bounds._lg_bracket(m, p)
+        assert 1 << lo <= m ** (2**p) <= 1 << hi, (m, p)
+        assert (lo == hi) is (m & (m - 1) == 0), (m, p)
+        assert hi - lo <= 2, (m, p)
+
+
+def test_log_decision_past_the_cap_raises(monkeypatch, capsys):
+    # B7's rhs as 3 + 2**-80: fac(1) = 3 of a three-letter word is a
+    # near-tie that 128 bits decide, and that 64 bits leave undecided,
+    # which raises instead of passing; so does the exact tie rhs = 3 at any
+    # cap, since the brackets of lg 3 never part
+    from richlab import cli
+
+    b7 = bounds._BOUNDS["B7"]
+    near = bounds._Rhs(None, math.log2(3), bounds._Form(3 * 2**80 + 1, 2**80, 0, 1, 1, 1))
+    monkeypatch.setitem(bounds._BOUNDS, "B7", dataclasses.replace(
+        b7, rhs=lambda p, n: near,
+    ))
+    w = W("012")
+    assert [r.holds for r in evaluate_word(w, ["B7"])] == [True] * 3
+    monkeypatch.setattr(bounds, "_BRACKET_CAP", 64)
+    with pytest.raises(bounds.UndecidedComparisonError, match=r"^B7 at n=1: lhs=3 "):
+        evaluate_word(w, ["B7"])
+    assert not issubclass(bounds.UndecidedComparisonError, ValueError)
+    capsys.readouterr()
+    assert cli.main(["verify", "012", "--bounds", "B7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("internal error: UndecidedComparisonError: B7 at n=1")
+    monkeypatch.setattr(bounds, "_BRACKET_CAP", 256)
+    with pytest.raises(bounds.UndecidedComparisonError):
+        _decide(3, bounds._Rhs(None, math.log2(3), bounds._Form(3, 1, 0, 1, 1, 1)))
 
 
 def _table_rhs(bound_id, q, n):
@@ -712,29 +774,68 @@ def _table_rhs(bound_id, q, n):
 
 @pytest.mark.parametrize("bound_id", ["B5", "B6", "B7", "B10", "B11", "B12"])
 def test_table_high_precision_rhs_matches_its_float(bound_id):
-    # the table's own hp() bodies, which near-tie tests replace and sweeps
-    # seldom reach
+    # the table's closed forms, which the near-tie tests replace and sweeps
+    # seldom reach: their value, read off the bracket at 128 bits, is the
+    # float log2, addend folded in as _final_rhs does; and where the rhs
+    # is exact, the bracket of log2(exact - addend) meets the form's
+    p = 128
     for q, n in itertools.product(range(1, 5), [*range(1, 41), 64, 100, 1000, 4096, 10**6]):
         rhs = _table_rhs(bound_id, q, n)
-        with mpmath.workprec(200):
-            hp = rhs.hp()
-            assert float(hp) == pytest.approx(rhs.log2, rel=1e-12, abs=1e-12), (q, n)
-            if rhs.exact is not None:
-                exact_log2 = mpmath.log(mpmath.mpf(rhs.exact), 2)
-                assert abs(hp - exact_log2) <= mpmath.mpf(2) ** -150 * (1 + abs(hp))
+        f = rhs.form
+        lo, hi = _form_bracket(f, p)
+        assert hi - lo < f.k_den << 2 * p - 100, (q, n)
+        t = lo / (f.k_den << 2 * p)
+        value = t + math.log1p(f.addend * 2.0**-t) / math.log(2) if t <= 1020 else t
+        assert value == pytest.approx(rhs.log2, rel=1e-12, abs=1e-12), (q, n)
+        if rhs.exact is not None:
+            x0, x1 = bounds._lg_bracket(rhs.exact - f.addend, p)
+            assert f.k_den * x0 << p <= hi and lo <= f.k_den * x1 << p, (q, n)
+
+
+def _form_bracket(f, p):
+    """Integers lo <= k_den * 2**(2p) * log2(rhs - addend) <= hi, for the
+    rhs of closed form f, from _lg_bracket."""
+    (n0, n1), (d0, d1), (a0, a1), (b0, b1) = (
+        bounds._lg_bracket(m, p) for m in (f.c_num, f.c_den, f.a, f.b)
+    )
+    return ((f.k_den * (n0 - d1) << p) + f.k_num * a0 * b0,
+            (f.k_den * (n1 - d0) << p) + f.k_num * a1 * b1)
+
+
+_STATEMENTS = {
+    # each rhs as its paper statement, as a function of (q, n) in decimal
+    "B5": lambda q, n, lg: (4 * q**10 * n) ** lg(n),
+    "B7": lambda q, n, lg: (q + 1) ** 2 * n**4 * (4 * q**10 * n) ** (2 * lg(n)),
+    "B10": lambda q, n, lg: (
+        2 * (2 * n - 1) * (q + 1) * 2 * n * (8 * q**10 * n) ** lg(2 * n)
+        - 2 * (2 * n - 1) + q
+    ),
+    "B11": lambda q, n, lg: (q + 1) * 8 * n**2 * (8 * q**10 * n) ** lg(2 * n) + q,
+}
 
 
 @pytest.mark.parametrize(
     "bound_id, q, n", [("B7", 2, 3), ("B11", 2, 6), ("B10", 3, 3), ("B5", 2, 12)]
 )
 def test_table_high_precision_rhs_decides_the_exact_boundary(bound_id, q, n):
-    # lhs = floor(rhs) passes and lhs + 1 fails, both inside the float margin
+    # lhs = floor(rhs) passes and lhs + 1 fails, both inside the float
+    # margin; floor(rhs) comes from the paper's statement of the bound in
+    # 150-digit decimal arithmetic, apart from the table's closed form
+    import decimal
+
     rhs = _table_rhs(bound_id, q, n)
     assert rhs.exact is None
-    with mpmath.workprec(400):
-        lhs = int(mpmath.floor(mpmath.power(2, rhs.hp())))
-    assert _decide_log(lhs, rhs.log2, rhs.hp)
-    assert not _decide_log(lhs + 1, rhs.log2, rhs.hp)
+    with decimal.localcontext(decimal.Context(prec=150)):
+        D = decimal.Decimal
+
+        def lg(x):
+            return D(x).ln() / D(2).ln()
+
+        value = _STATEMENTS[bound_id](D(q), D(n), lg)
+        lhs = int(value.to_integral_value(rounding=decimal.ROUND_FLOOR))
+    b = bounds._BOUNDS[bound_id]
+    assert _decide_log(lhs, rhs.log2, b, SimpleNamespace(q=q), n)
+    assert not _decide_log(lhs + 1, rhs.log2, b, SimpleNamespace(q=q), n)
 
 
 # --- reports ---
@@ -1044,33 +1145,26 @@ def test_memo_orders_equal_explicit_orders(monkeypatch):
     assert {key: len(column) for key, column in bounds._RHS_MEMO.items()} == lengths
 
     # again with B5's rhs the log-domain constant 2**0: maxswitch(n) = 1
-    # is an exact tie, which only 1000 bits settle, and a larger one is
-    # settled at 200; the memo holds no thunk, so every escalation builds
+    # is an exact tie and a larger one a violation, both past the float
+    # margin; the memo holds no closed form, so every such decision builds
     # the rhs again
-    thunks = []
+    built = []
 
-    def zero():
-        thunks.append(1)
-        return mpmath.mpf(0)
+    def zero(p, n):
+        built.append(n)
+        return _power_of_two(0)
 
-    patched = dataclasses.replace(b5, rhs=lambda p, n: bounds._Rhs(None, 0.0, zero))
+    patched = dataclasses.replace(b5, rhs=zero)
     monkeypatch.setitem(bounds._BOUNDS, "B5", patched)
-    precisions = []
-    workprec = mpmath.workprec
-
-    def recording(prec):
-        precisions.append(prec)
-        return workprec(prec)
-
-    monkeypatch.setattr(mpmath, "workprec", recording)
+    precisions = _recorded_precisions(monkeypatch)
     for w in words:
         precisions.clear()
-        thunks.clear()
+        built.clear()
         b5_reports = [r for r in evaluate_word(w) if r.bound_id == "B5"]
-        assert {200, 1000} <= set(precisions) and thunks
+        assert precisions == {64} and len(built) > len(w)
         column = bounds._RHS_MEMO[patched.rhs, w.alphabet_size]
         assert len(column) == len(w) + 1
-        assert all(entry.hp is None for entry in column[1:])
+        assert all(entry.form is None for entry in column[1:])
         assert {(r.rhs, r.rhs_log2, r.detail) for r in b5_reports} == {
             (None, 0.0, "log2(rhs)=0")
         }
@@ -1240,7 +1334,7 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
         b8, rhs=lambda p, ns: [max(1, rhs - 1) for rhs in b8.rhs(p, ns)],
     ))
     monkeypatch.setitem(bounds._BOUNDS, "B10", dataclasses.replace(
-        b10, rhs=lambda p, n: bounds._Rhs(None, n / 2, lambda: mpmath.mpf(n) / 2),
+        b10, rhs=lambda p, n: _power_of_two(n, 2),
     ))
     ids = ("B8", "B9", "B10", "B11")
     reference = _reference_sweep(3, 6, ids, True)
@@ -1268,7 +1362,7 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
     # its detail names the lpps value r in the word itself, not in the
     # canonical form of the word, which is all the sweep walks
     b2 = bounds._BOUNDS["B2"]
-    half = bounds._Rhs(None, -1.0, lambda: mpmath.mpf(-1))
+    half = _power_of_two(-1)
     monkeypatch.setitem(bounds._BOUNDS, "B2", dataclasses.replace(
         b2, rhs=lambda p, n: half if n >= 2 else b2.rhs(p, n),
         detail=lambda p, n, lhs, rhs, r: f"r={Word(r, p.q).text!r}: {lhs}",
@@ -1300,7 +1394,7 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
     # because one fails
     b12 = bounds._BOUNDS["B12"]
     monkeypatch.setitem(bounds._BOUNDS, "B12", dataclasses.replace(
-        b12, rhs=lambda p, n: bounds._Rhs(None, n / 4, lambda: mpmath.mpf(n) / 4),
+        b12, rhs=lambda p, n: _power_of_two(n, 4),
     ))
     ids = ("B9", "B12")
     reference = _reference_sweep(3, 6, ids, True)
@@ -1312,10 +1406,11 @@ def test_sweep_materialises_exactly_the_violating_reports(monkeypatch):
 def test_sweep_decides_table_near_ties_at_high_precision(monkeypatch):
     # B5's rhs as the log-domain constant 2**0 (the right-hand side memo
     # is keyed on the callable, so it reads none of the table's B5
-    # entries): a report with maxswitch(n) = 1 is an exact tie, which only
-    # 1000 bits settle, and holds; one with maxswitch(n) >= 2 violates
+    # entries): a report with maxswitch(n) = 1 is an exact tie, which the
+    # integer brackets settle at their first precision, and holds; one
+    # with maxswitch(n) >= 2 violates
     b5 = bounds._BOUNDS["B5"]
-    one = bounds._Rhs(None, 0.0, lambda: mpmath.mpf(0))
+    one = _power_of_two(0)
     monkeypatch.setitem(bounds._BOUNDS, "B5", dataclasses.replace(
         b5, rhs=lambda p, n: one,
     ))
@@ -1327,14 +1422,7 @@ def test_sweep_decides_table_near_ties_at_high_precision(monkeypatch):
     ids = ("B3", "B5", "B8")
     reference = _reference_sweep(3, 6, ids, True)
     assert reference["per_bound"]["B5"]["max_slack_log2"] == 0.0
-    precisions = []
-    workprec = mpmath.workprec
-
-    def recording(prec):
-        precisions.append(prec)
-        return workprec(prec)
-
-    monkeypatch.setattr(mpmath, "workprec", recording)
+    precisions = _recorded_precisions(monkeypatch)
     # a shard prefix of 3 makes jobs=2 run the prefix-sharded pool
     monkeypatch.setattr(bounds, "DEFAULT_SHARD_PREFIX", 3)
     for jobs in (1, 2):
@@ -1342,7 +1430,7 @@ def test_sweep_decides_table_near_ties_at_high_precision(monkeypatch):
         summary = sweep_rich(3, 6, ids, include_closure=True, jobs=jobs)
         _assert_sweep_matches(summary, reference, cap=50)
         if jobs == 1:
-            assert {200, 1000} <= set(precisions)
+            assert precisions == {64}
 
 
 def _canonical_form(w):

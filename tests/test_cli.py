@@ -558,6 +558,19 @@ def test_a_reader_that_stops_early_keeps_the_exit_code(argv, verdict):
     assert "error" not in err and "Traceback" not in err
 
 
+def test_importing_the_cli_loads_no_mpmath():
+    # the log-domain decisions run in plain integers, so no cold process
+    # pays for a high-precision library
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, richlab.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
