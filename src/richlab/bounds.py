@@ -28,9 +28,9 @@ at every order, and B8/B9 read no switch, so it needs only the
 closure's suffix automaton and an Eertree extended by the letters the
 closure adds: the word's own, the carried tree in the sweep and in
 evaluate_word the run that profiled the word (_profile_run), so no
-letter of the word is appended twice.  evaluate_word, the CLI's verify
-and the sweep's violating words build each word's batch of reports with
-the cyclic garbage collector paused (_collected): a report holds no
+letter of the word is appended twice.  evaluate_word and the sweep's
+violating words build each word's batch of reports with the cyclic
+garbage collector paused (_collected): a report holds no
 container, so reference counting frees all that a batch drops, and a
 collector pass would only re-walk the reports built so far.  No result
 changes, and the collector's state comes back on every exit.

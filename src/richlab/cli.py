@@ -23,9 +23,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
-from .bounds import BOUND_IDS, _collected, _word_rows, sweep_rich, word_profile
+from .bounds import BOUND_IDS, _word_rows, sweep_rich, word_profile
 from .crosscheck import check_cell, exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
@@ -34,6 +35,9 @@ from .structures import palindromic_closure, switches
 from .words import Word
 
 _SIG_DIGITS = 12
+# reports per json.dumps call in verify: one call per report would cost
+# more than the whole list's one call, and one call the whole text at once
+_BATCH = 1024
 
 
 def _portable(value):
@@ -49,6 +53,27 @@ def _portable(value):
 
 def _emit_json(obj) -> None:
     print(json.dumps(_portable(obj), indent=2))
+
+
+def _emit_reports(reports) -> bool:
+    """_emit_json of the reports' JSON dicts, written _BATCH reports at a time.
+
+    The text is the same as _emit_json([r.to_json_dict() for r in reports]),
+    but the dicts of all reports never exist at once, nor does the JSON
+    encoder's list of pieces of the whole text.  Returns whether every
+    report holds.
+    """
+    holds = True
+    opening = "["
+    reports = iter(reports)
+    while batch := list(islice(reports, _BATCH)):
+        holds = holds and all(r.holds for r in batch)
+        text = json.dumps(_portable([r.to_json_dict() for r in batch]), indent=2)
+        # text is "[\n  {...},\n  {...}\n]": write it without the closing line
+        sys.stdout.write(opening + text[1:-2])
+        opening = ","
+    print("[]" if opening == "[" else "\n]")
+    return holds
 
 
 def _fmt_float(value: Optional[float]) -> str:
@@ -163,9 +188,7 @@ def _cmd_verify(args) -> int:
     rows = _word_rows(w, ids, ns, args.force, args.with_closure, skipped)
     for bound_id, reason in (skipped or {}).items():
         print(f"skipped {bound_id}: {reason}", file=sys.stderr)
-    reports = _collected(lambda: (r.to_json_dict() for r in rows))
-    _emit_json(reports)
-    return 0 if all(r["holds"] for r in reports) else 1
+    return 0 if _emit_reports(rows) else 1
 
 
 # ---------------------------------------------------------------- sweep
@@ -454,7 +477,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     # the command's stdout is held back and written once it has its exit
-    # code, so that a reader who stops early cannot change that code
+    # code, so that a reader who stops early cannot change that code; a
+    # command that fails part way (verify streams its reports) writes none
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
@@ -463,10 +487,10 @@ def main(argv=None) -> int:
         # parse errors (a ValueError) and domain preconditions (richness,
         # closure, limits) are usage errors, as are unreadable files
         print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        return 2
     except Exception as exc:  # a bug, not a verdict: keep exit 1 unambiguous
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        code = 3
+        return 3
     _write_stdout(out.getvalue())
     return code
 

@@ -34,7 +34,7 @@ from .structures import (
     switch_pairs,
     switches,
 )
-from .words import EMPTY, Word, reverse
+from .words import EMPTY, Word
 
 __all__ = [
     "CellSpec",
@@ -120,9 +120,10 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
     switch_pairs at each order, max_switch_count, complete_returns and
     cores_with_lpps.  Without an RNG every admissible order, palindrome
     and core is compared; with one, orders, palindromes and cores are
-    sampled so that long words stay cheap, and is_rich, defect and the lps
-    family are read off shared PalIndexes instead of the public wrappers,
-    which run one Eertree per call.
+    sampled so that long words stay cheap, and is_rich, defect, lps and
+    lpps are read off the word's shared PalIndex instead of the public
+    wrappers, which run one Eertree per call; lpp and lppp still come from
+    their wrappers, one Eertree of the reversed word each.
     """
     problems: list[str] = []
 
@@ -148,8 +149,7 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
         if full:
             fast_four = (lps(w), lpp(w), lpps(w), lppp(w))
         else:
-            ridx = PalIndex(reverse(w))
-            fast_four = (idx.lps_word, ridx.lps_word, idx.lpps_word, ridx.lpps_word)
+            fast_four = (idx.lps_word, lpp(w), idx.lpps_word, lppp(w))
         slow_fns = (oracle.oracle_lps, oracle.oracle_lpp, oracle.oracle_lpps,
                     oracle.oracle_lppp)
         for op, fast, slow_fn in zip(("lps", "lpp", "lpps", "lppp"), fast_four, slow_fns):

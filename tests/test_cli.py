@@ -11,8 +11,9 @@ import pytest
 
 import richlab
 
-from richlab.bounds import BOUND_IDS
-from richlab.cli import AnalysisReport, _portable, analysis_report, main
+from richlab import cli
+from richlab.bounds import BOUND_IDS, evaluate_word
+from richlab.cli import AnalysisReport, _emit_reports, _portable, analysis_report, main
 from richlab.structures import palindromic_closure
 from richlab.words import Word
 
@@ -241,6 +242,32 @@ def test_verify_order_runs_bounds_skipped_on_the_word_on_its_closure(capsys):
     code, out, err = run(capsys, ["verify", "01", "--n", "3", "--with-closure"])
     assert code == 0
     assert not {"B8", "B9"} & {r["bound_id"] for r in json.loads(out)}
+
+
+@pytest.mark.parametrize("batch", [1, 3, cli._BATCH])
+def test_streamed_reports_equal_the_whole_list_dumped(capsys, monkeypatch, batch):
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    many = evaluate_word(Word.parse(W3), include_closure=True)
+    failing = evaluate_word(Word.parse(WITNESS), ["B9"], [4], force=True)
+    assert len(many) > 3 and not failing[0].holds
+    for reports in ([], many[:1], many[:3], many, many + failing, failing + many):
+        holds = _emit_reports(iter(reports))
+        whole = json.dumps(_portable([r.to_json_dict() for r in reports]), indent=2)
+        assert capsys.readouterr().out == whole + "\n"
+        assert holds is all(r.holds for r in reports)
+
+
+def test_verify_failing_part_way_writes_no_stdout(capsys, monkeypatch):
+    # reports are written as they are built, but an error after the
+    # first one still leaves stdout empty
+    def rows(w, *args):
+        yield from evaluate_word(w, ["B1"], [3])
+        raise RuntimeError("part way")
+
+    monkeypatch.setattr(cli, "_word_rows", rows)
+    code, out, err = run(capsys, ["verify", W3])
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: part way\n"
 
 
 @pytest.mark.parametrize(

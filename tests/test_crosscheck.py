@@ -14,7 +14,7 @@ from richlab.crosscheck import (
     run_cells,
 )
 from richlab.structures import cores_with_lpps, switch_pairs, switches
-from richlab.words import EMPTY, Word, reverse
+from richlab.words import EMPTY, Word
 
 W3 = Word.parse("1100100010011001010")
 W37 = Word.parse("2110112333211011454110116110116778776")
@@ -236,7 +236,8 @@ _FAULTS = [
     _fault(FW, False, "cores_with_lpps", _at((FW, 1, EMPTY), _drop_first()),
            ["'0010110': cores_with_lpps(n=1, r=''): fast=['1'] oracle=['0', '1']"],
            "cores_with_lpps"),
-    # sampled mode reads is_rich, defect and the lps family off the PalIndex
+    # sampled mode reads is_rich, defect, lps and lpps off the PalIndex, and
+    # lpp and lppp from their wrappers
     _fault(W3, True, "PalIndex", _skew_index(W3, "distinct_count", lambda c: c + 1),
            ["'1100100010011001010': is_rich: fast=False oracle=True",
             "'1100100010011001010': defect: fast=-1 oracle=0"],
@@ -245,13 +246,13 @@ _FAULTS = [
            ["'00101100110100': defect: fast=2 oracle=1"], "sampled-defect"),
     _fault(W3, True, "PalIndex", _skew_index(W3, "lps_word", lambda u: EMPTY),
            ["'1100100010011001010': lps: fast='' oracle='01010'"], "sampled-lps"),
-    _fault(W3, True, "PalIndex", _skew_index(reverse(W3), "lps_word", lambda u: EMPTY),
+    _fault(W3, True, "lpp", _at((W3,), lambda u: EMPTY),
            ["'1100100010011001010': lpp: fast='' oracle='1100100010011'"],
            "sampled-lpp"),
     _fault(W3, True, "PalIndex", _skew_index(W3, "lpps_word", lambda u: W3),
            ["'1100100010011001010': lpps: fast='1100100010011001010' oracle='01010'"],
            "sampled-lpps"),
-    _fault(W3, True, "PalIndex", _skew_index(reverse(W3), "lpps_word", lambda u: W3),
+    _fault(W3, True, "lppp", _at((W3,), lambda u: W3),
            ["'1100100010011001010': lppp: fast='1100100010011001010' "
             "oracle='1100100010011'"],
            "sampled-lppp"),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from richlab.oracle import oracle_palindrome_set
+from richlab.oracle import oracle_lps, oracle_palindrome_set
 from richlab.paltree import (
     Eertree,
     PalIndex,
@@ -85,7 +85,7 @@ def _shape(tree):
 
 
 def _state(tree):
-    return len(tree), tree.node_count, tree.last_node(), len(tree._history)
+    return len(tree), tree.node_count, tree.last_node(), len(tree._prev)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 255])
@@ -104,7 +104,7 @@ def test_creates_agrees_with_append_under_random_appends_and_pops(q):
             assert tree.append(c) is made, (word, c)
             tree.pop()
             assert _state(tree) == state
-        assert tree._word == word
+        assert tree._word == [None] + word
         fresh = Eertree()
         for c in word:
             fresh.append(c)
@@ -119,6 +119,79 @@ def test_creates_agrees_with_append_under_random_appends_and_pops(q):
             c = rng.choice(draw)
             tree.append(c)
             word.append(c)
+
+
+def _nodes(tree):
+    """Each node's length and suffix link, in node order."""
+    return [
+        (tree.node_length(v), tree.suffix_link(v)) for v in range(tree.node_count)
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 255])
+def test_random_appends_pops_and_creates_agree_with_the_oracle(q):
+    rng = random.Random(2300 + q)
+    draw = range(q) if q <= 4 else (0, 1, 2, 254)
+    # over 255 letters creates is also asked about a letter never drawn
+    asked = range(q) if q <= 4 else (0, 1, 2, 100, 254)
+    tree = Eertree()
+    word = []
+    nodes_of = {(): _nodes(tree)}  # each prefix's nodes, as a fresh tree has them
+
+    def check():
+        w = Word.from_symbols(word, q)
+        pals = oracle_palindrome_set(w)
+        assert tree.distinct_nonempty + 1 == len(pals), word
+        lps_word = oracle_lps(w) if word else Word("", q)
+        assert tree.node_word(tree.last_node(), q) == lps_word, word
+        for c in asked:
+            more = len(oracle_palindrome_set(Word.from_symbols(word + [c], q)))
+            assert tree.creates(c) is (more == len(pals) + 1), (word, c)
+        key = tuple(word)
+        if key not in nodes_of:
+            fresh = Eertree()
+            for c in word:
+                fresh.append(c)
+            nodes_of[key] = _nodes(fresh)
+        assert _nodes(tree) == nodes_of[key], word
+
+    def push(c):
+        made = tree.append(c)
+        word.append(c)
+        check()
+        return made
+
+    def pop():
+        tree.pop()
+        word.pop()
+        check()
+
+    empties = kept_after_made = 0
+    for _ in range(250):
+        roll = rng.random()
+        if word and roll < 0.03:
+            # a run of pops back to the empty word
+            while word:
+                pop()
+            empties += 1
+        elif word and roll < 0.25:
+            pop()
+        elif roll < 0.5:
+            # a creating append, then a non-creating one popped at once
+            made = [c for c in draw if tree.creates(c)]
+            rng.shuffle(made)
+            for c in made:
+                assert push(c) is True
+                kept = [c for c in draw if not tree.creates(c)]
+                if kept:
+                    assert push(rng.choice(kept)) is False
+                    pop()
+                    kept_after_made += 1
+                    break
+                pop()
+        elif len(word) < 40:
+            push(rng.choice(draw))
+    assert empties >= 3 and kept_after_made >= 3
 
 
 # --- snapshot index ---
