@@ -761,7 +761,8 @@ def _require_known(bound_ids: Sequence[str]) -> tuple[str, ...]:
     wanted = set(bound_ids)
     unknown = wanted - set(BOUND_IDS)
     if unknown:
-        raise ValueError(f"unknown bound ids: {sorted(unknown)}")
+        valid = ", ".join(BOUND_IDS)
+        raise ValueError(f"unknown bound ids: {sorted(unknown)}; valid ids are {valid}")
     return tuple(b for b in BOUND_IDS if b in wanted)
 
 

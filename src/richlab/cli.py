@@ -6,8 +6,12 @@ table is more natural); diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when a bound violation or oracle mismatch was found, 2 on
 usage or parse errors, 3 on a bound comparison left undecided
 (UndecidedComparisonError) or any other internal error, reported as one
-line on stderr instead of a traceback.  A reader that closes stdout early
-leaves the exit code as it is.
+line on stderr instead of a traceback.
+
+Each command computes all that it prints and returns its exit code with
+its stdout as pieces of text; main alone writes them, once the command
+has returned.  So a command that fails writes no stdout, and a reader
+that closes stdout early leaves the exit code as it is.
 
 All floating-point values are printed with 12 significant digits so
 reports from different runs diff cleanly.
@@ -16,7 +20,6 @@ reports from different runs diff cleanly.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -24,9 +27,11 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .bounds import BOUND_IDS, _word_rows, sweep_rich, word_profile
+from .bounds import (
+    BOUND_IDS, _collected, _require_known, _word_rows, sweep_rich, word_profile,
+)
 from .crosscheck import check_cell, exhaustive_check, parse_cells, run_cells
 from .enumeration import DEFAULT_SHARD_PREFIX, enumerate_rich, rich_counts
 from .paltree import defect, lpp, lppp, lps, lpps
@@ -51,29 +56,33 @@ def _portable(value):
     return value
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(_portable(obj), indent=2))
+def _emit_json(obj) -> str:
+    return json.dumps(_portable(obj), indent=2) + "\n"
 
 
-def _emit_reports(reports) -> bool:
-    """_emit_json of the reports' JSON dicts, written _BATCH reports at a time.
+def _emit_reports(reports: Iterable) -> Iterator[str]:
+    """_emit_json of the reports' JSON dicts, in pieces of _BATCH reports.
 
-    The text is the same as _emit_json([r.to_json_dict() for r in reports]),
+    The pieces join to _emit_json([r.to_json_dict() for r in reports]),
     but the dicts of all reports never exist at once, nor does the JSON
-    encoder's list of pieces of the whole text.  Returns whether every
-    report holds.
+    encoder's list of pieces of the whole text.
     """
-    holds = True
     opening = "["
     reports = iter(reports)
     while batch := list(islice(reports, _BATCH)):
-        holds = holds and all(r.holds for r in batch)
         text = json.dumps(_portable([r.to_json_dict() for r in batch]), indent=2)
-        # text is "[\n  {...},\n  {...}\n]": write it without the closing line
-        sys.stdout.write(opening + text[1:-2])
+        # text is "[\n  {...},\n  {...}\n]": yield it without the closing line
+        yield opening + text[1:-2]
         opening = ","
-    print("[]" if opening == "[" else "\n]")
-    return holds
+    yield "[]\n" if opening == "[" else "\n]\n"
+
+
+def _csv_text(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _fmt_float(value: Optional[float]) -> str:
@@ -134,29 +143,24 @@ def analysis_report(w: Word) -> AnalysisReport:
     )
 
 
-def _cmd_analyze(args) -> int:
-    report = analysis_report(_word_from_args(args))
-    _emit_json(report.to_json_dict())
-    return 0
+def _cmd_analyze(args) -> tuple[int, Iterable[str]]:
+    return 0, [_emit_json(analysis_report(_word_from_args(args)).to_json_dict())]
 
 
 # ---------------------------------------------------------------- switches
 
 
-def _cmd_switches(args) -> int:
+def _cmd_switches(args) -> tuple[int, Iterable[str]]:
     w = _word_from_args(args)
     records = sorted(switches(w, args.n), key=lambda r: r.word.chars)
-    for rec in records:
-        print(json.dumps(rec.to_json_dict()))
-    return 0
+    return 0, [json.dumps(rec.to_json_dict()) + "\n" for rec in records]
 
 
 # ---------------------------------------------------------------- closure
 
 
-def _cmd_closure(args) -> int:
-    print(palindromic_closure(_word_from_args(args)).text)
-    return 0
+def _cmd_closure(args) -> tuple[int, Iterable[str]]:
+    return 0, [palindromic_closure(_word_from_args(args)).text + "\n"]
 
 
 # ---------------------------------------------------------------- verify
@@ -168,15 +172,10 @@ def _parse_bound_ids(text: Optional[str]) -> tuple[str, ...]:
     wanted = [part.strip() for part in text.split(",") if part.strip()]
     if not wanted:
         raise ValueError("--bounds names no bound")
-    unknown = [b for b in wanted if b not in BOUND_IDS]
-    if unknown:
-        raise ValueError(
-            f"unknown bound ids {unknown}; valid ids are {', '.join(BOUND_IDS)}"
-        )
-    return tuple(wanted)
+    return _require_known(wanted)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     if args.n is not None and args.all_n:
         raise ValueError("--n and --all-n are mutually exclusive")
     w = _word_from_args(args)
@@ -185,10 +184,14 @@ def _cmd_verify(args) -> int:
     # with no bounds named, check those that apply at this order; B8/B9
     # skipped on w still run on its closure where they apply
     skipped = {} if args.n is not None and args.bounds is None else None
-    rows = _word_rows(w, ids, ns, args.force, args.with_closure, skipped)
-    for bound_id, reason in (skipped or {}).items():
-        print(f"skipped {bound_id}: {reason}", file=sys.stderr)
-    return 0 if _emit_reports(rows) else 1
+    try:
+        reports = _collected(
+            lambda: _word_rows(w, ids, ns, args.force, args.with_closure, skipped)
+        )
+    finally:  # skipped is filled before the first report: say so even if one fails
+        for bound_id, reason in (skipped or {}).items():
+            print(f"skipped {bound_id}: {reason}", file=sys.stderr)
+    return (0 if all(r.holds for r in reports) else 1), _emit_reports(reports)
 
 
 # ---------------------------------------------------------------- sweep
@@ -207,12 +210,10 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_csv(summary) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
+    rows = []
     for bound_id in summary.bound_ids:
         agg = summary.per_bound[bound_id]
-        writer.writerow(
+        rows.append(
             [
                 bound_id,
                 summary.words,
@@ -225,10 +226,10 @@ def _sweep_csv(summary) -> str:
                 _fmt_float(agg["max_slack_log2"]),
             ]
         )
-    return out.getvalue()
+    return _csv_text(_SWEEP_COLUMNS, rows)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, Iterable[str]]:
     ids = _parse_bound_ids(args.bounds)
     summary = sweep_rich(
         args.q,
@@ -238,20 +239,19 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
     )
     print(f"sweep took {summary.elapsed_seconds:.3f}s", file=sys.stderr)
+    code = 1 if summary.violations else 0
     if args.csv:
-        sys.stdout.write(_sweep_csv(summary))
-    else:
-        # stdout must be byte-identical across reruns; timing goes to stderr
-        payload = summary.to_json_dict()
-        payload.pop("elapsed_seconds")
-        _emit_json(payload)
-    return 1 if summary.violations else 0
+        return code, [_sweep_csv(summary)]
+    # stdout must be byte-identical across reruns; timing goes to stderr
+    payload = summary.to_json_dict()
+    payload.pop("elapsed_seconds")
+    return code, [_emit_json(payload)]
 
 
 # ---------------------------------------------------------------- enumerate
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     if args.emit:
         # enumerate_rich checks its arguments when called, so a bad q
         # leaves no file behind
@@ -278,27 +278,20 @@ def _cmd_enumerate(args) -> int:
         )
         rows = list(enumerate(stats.counts))
     if args.csv:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "count"])
-        writer.writerows(rows)
-        sys.stdout.write(out.getvalue())
-    else:
-        _emit_json(
-            {
-                "q": args.q,
-                "max_len": args.max_len,
-                "canonical": args.canonical,
-                "counts": [{"n": n, "count": c} for n, c in rows],
-            }
-        )
-    return 0
+        return 0, [_csv_text(["n", "count"], rows)]
+    payload = {
+        "q": args.q,
+        "max_len": args.max_len,
+        "canonical": args.canonical,
+        "counts": [{"n": n, "count": c} for n, c in rows],
+    }
+    return 0, [_emit_json(payload)]
 
 
 # ---------------------------------------------------------------- oracle-check
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args) -> tuple[int, Iterable[str]]:
     # a malformed cell list, or a cell over the oracle's length cap, is an
     # error before any checking starts
     specs = parse_cells(args.cells) if args.cells else ()
@@ -317,8 +310,7 @@ def _cmd_oracle_check(args) -> int:
         d = r.to_json_dict()
         d.pop("elapsed_seconds")  # keep stdout byte-identical across reruns
         payload.append(d)
-    _emit_json(payload)
-    return 0 if all(r.ok for r in results) else 1
+    return (0 if all(r.ok for r in results) else 1), [_emit_json(payload)]
 
 
 # ---------------------------------------------------------------- parser
@@ -350,6 +342,26 @@ def _add_word_arg(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_size_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--q", type=int, required=True, help="alphabet size")
+    sub.add_argument(
+        "--max-len", type=_NONNEGATIVE, required=True, help="largest word length"
+    )
+
+
+def _add_bounds_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--bounds", help="comma-separated bound ids (default: all)")
+
+
+def _add_jobs_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--jobs",
+        type=_POSITIVE,
+        default=1,
+        help="worker processes, at most one per usable CPU (default 1)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="richlab",
@@ -374,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="check complexity bounds on one word")
     _add_word_arg(p)
-    p.add_argument("--bounds", help="comma-separated bound ids (default: all)")
+    _add_bounds_arg(p)
     p.add_argument(
         "--n",
         type=int,
@@ -400,17 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("sweep", help="check bounds on every rich word up to a length")
-    p.add_argument("--q", type=int, required=True, help="alphabet size")
-    p.add_argument(
-        "--max-len", type=_NONNEGATIVE, required=True, help="largest word length"
-    )
-    p.add_argument("--bounds", help="comma-separated bound ids (default: all)")
-    p.add_argument(
-        "--jobs",
-        type=_POSITIVE,
-        default=1,
-        help="worker processes, at most one per usable CPU (default 1)",
-    )
+    _add_size_args(p)
+    _add_bounds_arg(p)
+    _add_jobs_arg(p)
     p.add_argument(
         "--no-closure",
         action="store_true",
@@ -420,22 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("enumerate", help="count (or list) rich words per length")
-    p.add_argument("--q", type=int, required=True, help="alphabet size")
-    p.add_argument(
-        "--max-len", type=_NONNEGATIVE, required=True, help="largest word length"
-    )
+    _add_size_args(p)
     p.add_argument(
         "--shard-prefix",
         type=_NONNEGATIVE,
         default=DEFAULT_SHARD_PREFIX,
         help=f"prefix length for parallel sharding (default {DEFAULT_SHARD_PREFIX})",
     )
-    p.add_argument(
-        "--jobs",
-        type=_POSITIVE,
-        default=1,
-        help="worker processes, at most one per usable CPU (default 1)",
-    )
+    _add_jobs_arg(p)
     p.add_argument(
         "--canonical",
         action="store_true",
@@ -476,13 +472,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
-    # the command's stdout is held back and written once it has its exit
-    # code, so that a reader who stops early cannot change that code; a
-    # command that fails part way (verify streams its reports) writes none
-    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(out):
-            code = args.func(args)
+        code, out = args.func(args)
     except (ValueError, OSError) as exc:
         # parse errors (a ValueError) and domain preconditions (richness,
         # closure, limits) are usage errors, as are unreadable files
@@ -491,19 +482,23 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug, not a verdict: keep exit 1 unambiguous
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write_stdout(out.getvalue())
+    # the command has its exit code before any of its stdout is written, so
+    # a command that fails writes none, and a reader who stops early
+    # cannot change the code
+    _write_stdout(out)
     return code
 
 
-def _write_stdout(text: str) -> None:
-    """Write text to stdout; a reader that has closed the pipe gets no more.
+def _write_stdout(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout; a reader that has closed the pipe gets no more.
 
     Whether a write finds the pipe closed depends on when the reader
     (`head`, say) quit, so a broken pipe is not an error: the rest of the
     output is dropped and the exit code stays the command's own.
     """
     try:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         sys.stdout.flush()
     except BrokenPipeError:
         # point stdout at devnull, so that the flush at exit cannot fail too

@@ -245,21 +245,22 @@ def test_verify_order_runs_bounds_skipped_on_the_word_on_its_closure(capsys):
 
 
 @pytest.mark.parametrize("batch", [1, 3, cli._BATCH])
-def test_streamed_reports_equal_the_whole_list_dumped(capsys, monkeypatch, batch):
+def test_streamed_reports_equal_the_whole_list_dumped(monkeypatch, batch):
     monkeypatch.setattr(cli, "_BATCH", batch)
     many = evaluate_word(Word.parse(W3), include_closure=True)
     failing = evaluate_word(Word.parse(WITNESS), ["B9"], [4], force=True)
     assert len(many) > 3 and not failing[0].holds
     for reports in ([], many[:1], many[:3], many, many + failing, failing + many):
-        holds = _emit_reports(iter(reports))
+        pieces = list(_emit_reports(iter(reports)))
         whole = json.dumps(_portable([r.to_json_dict() for r in reports]), indent=2)
-        assert capsys.readouterr().out == whole + "\n"
-        assert holds is all(r.holds for r in reports)
+        assert "".join(pieces) == whole + "\n"
+        # one piece per batch, then the closing one
+        assert len(pieces) == -(-len(reports) // batch) + 1
 
 
 def test_verify_failing_part_way_writes_no_stdout(capsys, monkeypatch):
-    # reports are written as they are built, but an error after the
-    # first one still leaves stdout empty
+    # every report is built before any is written, so an error after the
+    # first one leaves stdout empty
     def rows(w, *args):
         yield from evaluate_word(w, ["B1"], [3])
         raise RuntimeError("part way")
@@ -268,6 +269,37 @@ def test_verify_failing_part_way_writes_no_stdout(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", W3])
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: part way\n"
+
+
+class _Unwritable:
+    def write(self, text):
+        raise AssertionError(f"a command wrote {text!r} to stdout")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", W3],
+        ["switches", W3, "--n", "3"],
+        ["closure", "0010"],
+        ["verify", W3, "--with-closure"],
+        ["verify", WITNESS, "--bounds", "B9", "--n", "4", "--force"],
+        ["sweep", "--q", "2", "--max-len", "5"],
+        ["sweep", "--q", "2", "--max-len", "5", "--csv"],
+        ["enumerate", "--q", "2", "--max-len", "6"],
+        ["enumerate", "--q", "3", "--max-len", "4", "--csv"],
+        ["oracle-check", "--exhaustive-max-len", "5"],
+    ],
+)
+def test_commands_return_their_stdout_and_write_none(capsys, monkeypatch, argv):
+    # only main writes stdout, so no command can have written any of it
+    # before it fails
+    args = cli.build_parser().parse_args(argv)
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", _Unwritable())
+        code, pieces = args.func(args)
+        text = "".join(pieces)
+    assert (code, text) == run(capsys, argv)[:2]
 
 
 @pytest.mark.parametrize(
