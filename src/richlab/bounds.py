@@ -62,6 +62,7 @@ force=True evaluates anyway and marks the report as not covered.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import operator
@@ -72,7 +73,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .enumeration import DEFAULT_SHARD_PREFIX, _check_alphabet, _orbit, _sharded, _walk
-from .paltree import Eertree, is_rich
+from .paltree import Eertree, _tree_of, is_rich
 from .records import from_json_fields, json_fields
 from .structures import (
     _closure_chars, _first_switches, _new_cores, _suffix_automaton, _switch_table,
@@ -202,9 +203,16 @@ def word_profile(w: Word) -> WordProfile:
     read so far, sliced out in C.
 
     A palindromic closure is never profiled here: _closure_profile needs
-    only its suffix automaton and an Eertree.
+    only its suffix automaton and an Eertree.  The last few profiles are
+    kept, so the check_* calls on one word share one; a profile is shared,
+    so callers must not change it.
     """
-    return _profile_run(w)[0]
+    return _profile_of(w.chars, w.alphabet_size)
+
+
+@functools.lru_cache(maxsize=4)
+def _profile_of(chars: str, q: int) -> WordProfile:
+    return _profile_run(Word._trusted(chars, q))[0]
 
 
 def _profile_run(w: Word) -> tuple[WordProfile, Eertree, list[int]]:
@@ -233,7 +241,7 @@ def _profile_run(w: Word) -> tuple[WordProfile, Eertree, list[int]]:
         closed[j + 1] = low >= j + 1
     del length, link, nxt, ml  # freed before the Eertree run raises the peak
 
-    tree = Eertree()
+    tree = _tree_of(s)
     node_length, suffix_link = tree.node_length, tree.suffix_link
     sw = [0] * (L + 1)
     known = bytearray(L + 2)  # known[x]: node x was met as a core
@@ -387,7 +395,7 @@ class _CarriedProfile:
         tree = self.tree
         length, link = tree.node_length, tree.suffix_link
         switches = self.switches
-        cores = _new_cores(tree, s, L - 1, m)
+        cores = _new_cores(tree, s, L - 1, m, tree.last_node())
         for x in cores:
             n = length(x)
             sw[n + 2] += 1

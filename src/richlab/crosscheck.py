@@ -120,10 +120,10 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
     switch_pairs at each order, max_switch_count, complete_returns and
     cores_with_lpps.  Without an RNG every admissible order, palindrome
     and core is compared; with one, orders, palindromes and cores are
-    sampled so that long words stay cheap, and is_rich, defect, lps and
-    lpps are read off the word's shared PalIndex instead of the public
-    wrappers, which run one Eertree per call; lpp and lppp still come from
-    their wrappers, one Eertree of the reversed word each.
+    sampled so that long words stay cheap.  Both modes call the same public
+    functions: the palindrome queries and the closure all read one shared
+    Eertree of the word (paltree._run), and the switch queries one table
+    built from it, so each word is run through an Eertree once.
     """
     problems: list[str] = []
 
@@ -135,25 +135,21 @@ def compare_word(w: Word, rng: random.Random | None = None) -> list[str]:
 
     full = rng is None
     n_len = len(w)
-    idx = PalIndex(w)
-    pal_fast, pal_slow = idx.palindromes(), oracle.oracle_palindrome_set(w)
+    pal_fast, pal_slow = PalIndex(w).palindromes(), oracle.oracle_palindrome_set(w)
     check("palindrome set", pal_fast, pal_slow, _sorted_texts)
 
     # oracle_is_rich/oracle_defect are defined through the palindrome set;
     # reuse the one just computed instead of enumerating it two more times
-    check("is_rich", is_rich(w) if full else idx.distinct_count == n_len + 1,
-          len(pal_slow) == n_len + 1)
-    check("defect", defect(w) if full else n_len + 1 - idx.distinct_count,
-          n_len + 1 - len(pal_slow))
+    check("is_rich", is_rich(w), len(pal_slow) == n_len + 1)
+    check("defect", defect(w), n_len + 1 - len(pal_slow))
     if n_len > 0:
-        if full:
-            fast_four = (lps(w), lpp(w), lpps(w), lppp(w))
-        else:
-            fast_four = (idx.lps_word, lpp(w), idx.lpps_word, lppp(w))
-        slow_fns = (oracle.oracle_lps, oracle.oracle_lpp, oracle.oracle_lpps,
-                    oracle.oracle_lppp)
-        for op, fast, slow_fn in zip(("lps", "lpp", "lpps", "lppp"), fast_four, slow_fns):
-            check(op, fast.text, slow_fn(w).text)
+        for op, fast_fn, slow_fn in (
+            ("lps", lps, oracle.oracle_lps),
+            ("lpp", lpp, oracle.oracle_lpp),
+            ("lpps", lpps, oracle.oracle_lpps),
+            ("lppp", lppp, oracle.oracle_lppp),
+        ):
+            check(op, fast_fn(w).text, slow_fn(w).text)
     check("closure", palindromic_closure(w).text, oracle.oracle_closure(w).text)
 
     def sample(pool, k: int):

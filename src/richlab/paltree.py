@@ -17,6 +17,13 @@ the last node before it; a new node five more and a dict of its
 children.  On the 16,000-letter Fibonacci prefix an append-only run
 holds 6.0 MB (tracemalloc; tools/eertree_cost.py).
 
+Every read-only query on a word (PalIndex, is_rich, defect, the lps
+family, and in richlab.structures the closure and the switch table) reads
+one finished tree of it, _run(chars), kept for the last few words asked
+about; nothing may append to or pop that shared tree.  A palindrome is a
+prefix of the word exactly when its node's first occurrence ends at its
+own length, so lpp and lppp need no tree of the reversed word.
+
 A built PalIndex is an immutable snapshot (plain tuples, dicts, frozensets)
 and can be shared freely; only the mutable Eertree builder is stateful.
 """
@@ -25,8 +32,9 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from itertools import accumulate
 
-from .words import Word, reverse
+from .words import Word
 
 
 class Eertree:
@@ -164,6 +172,13 @@ def _tree_of(chars: str) -> Eertree:
     return tree
 
 
+# The queries on one word come one after another, so a few entries suffice.
+@functools.lru_cache(maxsize=16)
+def _run(chars: str) -> Eertree:
+    """The finished Eertree of chars, shared: never append to it or pop it."""
+    return _tree_of(chars)
+
+
 def _suffix_palindromes(tree: Eertree) -> tuple[int, int]:
     """Nodes of the longest and the longest proper palindromic suffix.
 
@@ -189,20 +204,20 @@ class PalIndex:
     )
 
     def __init__(self, word: Word):
-        tree = Eertree()
+        tree = _run(word.chars)
         q = word.alphabet_size
-        flags = []
-        counts = [1]  # the empty palindrome counts for every prefix
-        for c in word:
-            flags.append(tree.append(c))
-            counts.append(tree.distinct_nonempty + 1)
+        # the append at _word index i created a node iff a node ends there first
+        flags = [False] * len(word)
+        for end in tree._end[2:]:
+            flags[end - 1] = True
+        counts = tuple(accumulate(flags, initial=1))  # the empty palindrome counts too
         by_length: dict[int, set[Word]] = {0: {Word("", q)}}
         for node in range(2, tree.node_count):
             by_length.setdefault(tree.node_length(node), set()).add(
                 tree._node_word(node, q)
             )
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "counts_by_prefix", tuple(counts))
+        object.__setattr__(self, "counts_by_prefix", counts)
         object.__setattr__(self, "created_flags", tuple(flags))
         object.__setattr__(
             self,
@@ -239,36 +254,42 @@ class PalIndex:
 
 def is_rich(w: Word) -> bool:
     """A word is rich iff every prefix extension creates a new palindrome."""
-    tree = Eertree()
-    for c in w:
-        if not tree.append(c):
-            return False
-    return True
+    return _run(w.chars).distinct_nonempty == len(w)
 
 
 def defect(w: Word) -> int:
     """|w| + 1 minus the number of distinct palindromic factors (with the empty one)."""
-    return len(w) - _tree_of(w.chars).distinct_nonempty
+    return len(w) - _run(w.chars).distinct_nonempty
 
 
 def lps(w: Word) -> Word:
     """Longest palindromic suffix; rejects the empty word."""
     if len(w) == 0:
         raise ValueError("lps of the empty word is undefined")
-    tree = _tree_of(w.chars)
-    return tree._node_word(_suffix_palindromes(tree)[0], w.alphabet_size)
+    tree = _run(w.chars)
+    return tree._node_word(tree.last_node(), w.alphabet_size)
+
+
+def _prefix_palindrome(w: Word, below: int) -> Word:
+    """The longest palindromic prefix of w shorter than below.
+
+    A node is a prefix iff its first occurrence ends at its own length.
+    """
+    tree = _run(w.chars)
+    n = max(n for n, end in zip(tree._len[2:], tree._end[2:]) if n == end < below)
+    return Word._trusted(w.chars[:n], w.alphabet_size)
 
 
 def lpp(w: Word) -> Word:
-    """Longest palindromic prefix, computed as lps of the reversed word."""
+    """Longest palindromic prefix; rejects the empty word."""
     if len(w) == 0:
         raise ValueError("lpp of the empty word is undefined")
-    return lps(reverse(w))
+    return _prefix_palindrome(w, len(w) + 1)
 
 
 @functools.lru_cache(maxsize=65536)
 def _lpps_of(chars: str, q: int) -> Word:
-    tree = _tree_of(chars)
+    tree = _run(chars)
     return tree._node_word(_suffix_palindromes(tree)[1], q)
 
 
@@ -282,7 +303,9 @@ def lpps(w: Word) -> Word:
 
 def lppp(w: Word) -> Word:
     """Longest proper palindromic prefix; empty for |w| <= 1."""
-    return lpps(reverse(w))
+    if len(w) <= 1:
+        return Word("", w.alphabet_size)
+    return _prefix_palindrome(w, len(w))
 
 
 def palindrome_length_counts(w: Word) -> Counter:

@@ -9,9 +9,12 @@ augmentation, and Rauzy graphs.
 Every switch comes from one step on an append-only Eertree, _new_cores:
 appending a letter makes new exactly the switches a·u·b that end there
 and are longer than the longest suffix seen before, read off the
-suffix-link chain with no strings.  The word profiles of richlab.bounds
-and the switch queries here share that step; the queries list each
-distinct switch once, at its first occurrence (_first_switches).
+suffix-link chain of the prefix's lps with no strings.  The word profiles
+of richlab.bounds and the switch queries here share that step; the
+queries list each distinct switch once, at its first occurrence
+(_first_switches), walking the word's finished tree: the queries and the
+closure read the word's shared run (paltree._run), and the profile its
+own tree, which the closure profile goes on to extend.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .paltree import Eertree, _tree_of
+from .paltree import Eertree, _run
 from .records import SwitchPair, SwitchRecord
 from .words import MAX_ALPHABET, Word, is_palindrome
 
@@ -61,17 +64,17 @@ def _suffix_automaton(s: str) -> tuple[list[int], list[int], list[dict], list[in
     return length, link, nxt, earlier
 
 
-def _new_cores(tree: Eertree, s: str, i: int, m: int) -> list[int]:
+def _new_cores(tree: Eertree, s: str, i: int, m: int, x: int) -> list[int]:
     """The core nodes of the switches that appending s[i] to s[:i] makes new.
 
-    tree holds s[:i]; m is the length of the longest suffix of s[:i+1]
-    that occurs in s[:i].  A new switch a·u·s[i] is longer than m, and its
-    core u is a nonempty palindromic suffix of s[:i] (on the suffix-link
-    chain of its lps) preceded by a letter a != s[i].
+    x is the node of lps(s[:i]) in tree, which holds s[:i] or more; m is
+    the length of the longest suffix of s[:i+1] that occurs in s[:i].  A
+    new switch a·u·s[i] is longer than m, and its core u is a nonempty
+    palindromic suffix of s[:i] (on the suffix-link chain of x) preceded
+    by a letter a != s[i].
     """
     length, link = tree.node_length, tree.suffix_link
     c = s[i]
-    x = tree.last_node()
     n = length(x)
     if n == i:  # s[:i] is a palindrome: no letter precedes it
         x = link(x)
@@ -91,24 +94,24 @@ def _first_switches(
     """(i, x) for each distinct switch of s: its first occurrence ends at i
     and its core is the node x, whose suffix link is the core's lpps.
 
-    The pass appends s to tree, which must start empty, one letter after
-    each step; earlier is _suffix_automaton's fourth result.  Nothing is
-    popped, so every node x stays valid, and the tree holds s at the end.
+    tree is a finished run of appends of s, read only: the lps node of
+    s[:i] is the last node before the append at i, tree._prev[i].
+    earlier is _suffix_automaton's fourth result.
     """
-    for i, c in enumerate(s):
-        for x in _new_cores(tree, s, i, earlier[i]):
+    prev = tree._prev
+    for i in range(len(s)):
+        for x in _new_cores(tree, s, i, earlier[i], prev[i]):
             yield i, x
-        tree.append(ord(c))
 
 
 # The switch queries over one word (one per length, pairs, cores, lpps
-# classes, the largest count) share one pass; the result is shared, so
-# callers must not mutate it.  The queries come word by word, so a few
-# entries suffice.
+# classes, the largest count) share one pass over the word's shared run;
+# the result is shared, so callers must not mutate it.  The queries come
+# word by word, so a few entries suffice.
 @functools.lru_cache(maxsize=16)
 def _switch_table(s: str) -> dict[int, list[tuple[int, int]]]:
     """Per switch length n, each distinct switch of s as (end, |lpps(core)|)."""
-    tree = Eertree()
+    tree = _run(s)
     length, link = tree.node_length, tree.suffix_link
     table: dict[int, list[tuple[int, int]]] = {}
     for i, x in _first_switches(tree, s, _suffix_automaton(s)[3]):
@@ -289,7 +292,7 @@ def _closure_chars(s: str, lps_length: int) -> str:
 
 def palindromic_closure(w: Word) -> Word:
     """Shortest palindrome with w as a prefix: w followed by reverse(p), w = p·lps(w)."""
-    tree = _tree_of(w.chars)
+    tree = _run(w.chars)
     lps_length = tree.node_length(tree.last_node())  # the last node is lps(w)
     return Word(_closure_chars(w.chars, lps_length), w.alphabet_size)
 

@@ -1,10 +1,13 @@
 """Fast-vs-oracle comparison harness: cell parsing, fuzzing, determinism."""
 
+import itertools
 import random
 
 import pytest
 
-from richlab import crosscheck, oracle
+from collections import Counter
+
+from richlab import bounds, crosscheck, oracle, paltree, structures
 from richlab.crosscheck import (
     CellSpec,
     compare_word,
@@ -193,8 +196,9 @@ def _drop_longest(method):
     return lambda: frozenset(sorted(method(), key=len)[:-1])
 
 
-def _fault(word, seeded, name, make, expected, id, module=crosscheck):
-    return pytest.param(word, seeded, module, name, make, expected, id=id)
+def _fault(word, seeded, name, make, expected, id, module=crosscheck, also=()):
+    """One case: name in module, and each (name, make) in also, made faulty."""
+    return pytest.param(word, seeded, module, ((name, make),) + also, expected, id=id)
 
 
 _FAULTS = [
@@ -236,20 +240,19 @@ _FAULTS = [
     _fault(FW, False, "cores_with_lpps", _at((FW, 1, EMPTY), _drop_first()),
            ["'0010110': cores_with_lpps(n=1, r=''): fast=['1'] oracle=['0', '1']"],
            "cores_with_lpps"),
-    # sampled mode reads is_rich, defect, lps and lpps off the PalIndex, and
-    # lpp and lppp from their wrappers
-    _fault(W3, True, "PalIndex", _skew_index(W3, "distinct_count", lambda c: c + 1),
+    # sampled mode calls the same wrappers as the exhaustive mode
+    _fault(W3, True, "is_rich", _at((W3,), lambda b: not b),
            ["'1100100010011001010': is_rich: fast=False oracle=True",
             "'1100100010011001010': defect: fast=-1 oracle=0"],
-           "sampled-is_rich"),
-    _fault(NR, True, "PalIndex", _skew_index(NR, "distinct_count", lambda c: c - 1),
+           "sampled-is_rich", also=(("defect", _at((W3,), lambda d: d - 1)),)),
+    _fault(NR, True, "defect", _at((NR,), lambda d: d + 1),
            ["'00101100110100': defect: fast=2 oracle=1"], "sampled-defect"),
-    _fault(W3, True, "PalIndex", _skew_index(W3, "lps_word", lambda u: EMPTY),
+    _fault(W3, True, "lps", _at((W3,), lambda u: EMPTY),
            ["'1100100010011001010': lps: fast='' oracle='01010'"], "sampled-lps"),
     _fault(W3, True, "lpp", _at((W3,), lambda u: EMPTY),
            ["'1100100010011001010': lpp: fast='' oracle='1100100010011'"],
            "sampled-lpp"),
-    _fault(W3, True, "PalIndex", _skew_index(W3, "lpps_word", lambda u: W3),
+    _fault(W3, True, "lpps", _at((W3,), lambda u: W3),
            ["'1100100010011001010': lpps: fast='1100100010011001010' oracle='01010'"],
            "sampled-lpps"),
     _fault(W3, True, "lppp", _at((W3,), lambda u: W3),
@@ -259,12 +262,80 @@ _FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("word, seeded, module, name, make, expected", _FAULTS)
+@pytest.mark.parametrize("word, seeded, module, patches, expected", _FAULTS)
 def test_every_comparison_reports_its_fault(
-    monkeypatch, word, seeded, module, name, make, expected
+    monkeypatch, word, seeded, module, patches, expected
 ):
     # one side of one comparison gives a wrong answer on one input: exactly
     # that comparison reports it, in the fixed mismatch format
-    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    for name, make in patches:
+        monkeypatch.setattr(module, name, make(getattr(module, name)))
     rng = random.Random(5) if seeded else None
     assert compare_word(word, rng) == expected
+
+
+# ---------------------------------------------------------------- the shared run
+
+
+def _run_state(tree):
+    return len(tree), tree._len, tree._link, tree._end, tree._prev
+
+
+def _clear_word_caches():
+    for memo in (paltree._run, paltree._lpps_of, structures._switch_table,
+                 structures._switch_records, bounds._profile_of):
+        memo.cache_clear()
+
+
+def test_queries_leave_the_shared_run_as_built():
+    rng = random.Random(25)
+    seeded = [crosscheck._random_word(rng, q, 40) for q in (2, 3, 4)]
+    for w in [EMPTY, Word.parse("0"), Word.parse("0110"), FW, NR, W3, W37, WG, *seeded]:
+        _clear_word_caches()
+        run, fresh = paltree._run(w.chars), _run_state(paltree._tree_of(w.chars))
+        idx = paltree.PalIndex(w)
+        idx.palindromes(), idx.counts_by_prefix
+        paltree.is_rich(w), paltree.defect(w), paltree.lpps(w), paltree.lppp(w)
+        if len(w):
+            paltree.lps(w), paltree.lpp(w)
+        structures.palindromic_closure(w)
+        for n in range(len(w) + 1):
+            structures.switches(w, n)
+        structures.max_switch_count(w, len(w))
+        bounds.word_profile(w)
+        bounds.evaluate_word(w, include_closure=True, force=True)
+        # every query above that reads a run read this one
+        assert paltree._run(w.chars) is run
+        # the lpps of the cores run trees of their own
+        for n in range(len(w) + 1):
+            for rec in structures.switches(w, n):
+                structures.cores_with_lpps(w, n - 2, paltree.lpps(rec.core))
+        compare_word(w)
+        assert _run_state(run) == fresh, w
+        assert _run_state(paltree._run(w.chars)) == fresh, w
+
+
+def test_compare_word_runs_each_word_once(monkeypatch):
+    # the lpps of the switch cores run trees of their own, after the last
+    # query that reads the word's run, so they never make it run again
+    built = Counter()
+    tree_of = paltree._tree_of
+
+    def counted(chars):
+        built[chars] += 1
+        return tree_of(chars)
+
+    monkeypatch.setattr(paltree, "_tree_of", counted)
+    rng = random.Random(25)
+    full = [Word.from_symbols(t, 2) for t in itertools.product(range(2), repeat=9)]
+    full += [W37, WG] + [crosscheck._random_word(rng, q, 60) for q in (2, 3, 4)]
+    sampled = [crosscheck._random_word(rng, q, 200) for q in (2, 4) for _ in range(5)]
+    most_cores = 0
+    for w in full + sampled:
+        _clear_word_caches()
+        built.clear()
+        compare_word(w, rng if w in sampled else None)
+        assert built[w.chars] == 1, w
+        most_cores = max(most_cores, sum(built.values()) - 1)
+    # some word ran more cores than the cache of runs holds
+    assert most_cores > paltree._run.cache_info().maxsize

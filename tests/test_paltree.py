@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from richlab.oracle import oracle_lps, oracle_palindrome_set
+from richlab.oracle import oracle_lpp, oracle_lppp, oracle_lps, oracle_palindrome_set
 from richlab.paltree import (
     Eertree,
     PalIndex,
@@ -16,7 +16,7 @@ from richlab.paltree import (
     lps,
     palindrome_length_counts,
 )
-from richlab.words import Word, factors
+from richlab.words import Word, factors, reverse
 
 W = Word.parse
 
@@ -305,6 +305,48 @@ def test_lps_family_against_definition():
         proper = [s for s in suffixes if len(s) < len(w)]
         expected = max(proper, key=len) if proper else Word("", 2)
         assert lpps(w) == expected
+
+
+def _seeded_palindromes():
+    rng = random.Random(25)
+    for q in (2, 3, 5):
+        for n in (1, 2, 7, 30, 99):
+            u = Word.from_symbols([rng.randrange(q) for _ in range(n)], q)
+            yield u + reverse(u)
+            yield u + Word(chr(rng.randrange(q)), q) + reverse(u)
+    yield W("0" * 40)
+    yield W("1100100010011001010" + "01010" + "0101001100100010011")
+
+
+def _seeded_words(length):
+    rng = random.Random(length)
+    for q in (2, 3, 4):
+        for _ in range(10):
+            yield Word.from_symbols([rng.randrange(q) for _ in range(length)], q)
+
+
+_PREFIX_CASES = {
+    "q2-to-12": lambda: all_words(2, 12),
+    "q3-to-8": lambda: all_words(3, 8),
+    "up-to-1": lambda: [Word("", 1), Word("", 4), W("0"), Word("\x03", 4)],
+    "palindromes": _seeded_palindromes,
+    "seeded-len200": lambda: _seeded_words(200),
+}
+
+
+@pytest.mark.parametrize("case", _PREFIX_CASES)
+def test_lpp_and_lppp_match_the_oracle(case):
+    # both read the word's own Eertree: a palindrome is a prefix exactly
+    # when its first occurrence ends at its own length
+    for w in _PREFIX_CASES[case]():
+        assert lppp(w) == oracle_lppp(w), w
+        assert lppp(w).alphabet_size == w.alphabet_size
+        if len(w) == 0:
+            with pytest.raises(ValueError):
+                lpp(w)
+        else:
+            assert lpp(w) == oracle_lpp(w), w
+            assert lpp(w).alphabet_size == w.alphabet_size
 
 
 # --- richness and defect ---

@@ -21,14 +21,22 @@ two versions compare directly.
 The memory is tracemalloc's count of the bytes an Eertree holds after
 appending the 16,000-letter Fibonacci prefix, with no pop.
 
+Last, the appends of one round of the benchmark's `crosscheck` workload
+(seed CROSSCHECK_SEED, round 0, its requests built by
+bench/workloads.py): every compare_word call it makes, with
+Eertree.append wrapped to count the calls, beside the letters of the
+round's words.
+
     PYTHONPATH=src python3 tools/eertree_cost.py [--repeat N]
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 from richlab import enumeration
 from richlab.paltree import Eertree
@@ -37,6 +45,8 @@ WALKS = ((2, 20), (3, 12))
 FIBONACCI_LENGTH = 16_000
 POP = -1
 CREATES_REPEAT = 4
+CROSSCHECK_SEED = 1
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def record(q: int, max_len: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -128,6 +138,29 @@ def append_only_bytes(symbols: list[int]) -> int:
     return held
 
 
+def crosscheck_appends(seed: int) -> tuple[int, int]:
+    """Eertree appends made by one bench-shaped crosscheck round, and its letters."""
+    sys.path.insert(0, str(BENCH))
+    import workloads
+
+    requests = workloads.crosscheck_requests(seed, None).requests
+    appends = 0
+    plain = Eertree.append
+
+    def counted(self, c):
+        nonlocal appends
+        appends += 1
+        return plain(self, c)
+
+    Eertree.append = counted
+    try:
+        for req in requests:
+            req.resolve()(*req.args, **req.kwargs)
+    finally:
+        Eertree.append = plain
+    return appends, sum(len(req.args[0]) for req in requests)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=11, help="timed passes (best kept)")
@@ -166,6 +199,11 @@ def main() -> None:
     print(
         f"append-only Fibonacci prefix of {FIBONACCI_LENGTH} letters: "
         f"{held} bytes ({held / 1e6:.2f} MB) held (tracemalloc)"
+    )
+    appends, letters = crosscheck_appends(CROSSCHECK_SEED)
+    print(
+        f"crosscheck round (seed {CROSSCHECK_SEED}): {appends} appends "
+        f"over {letters} letters"
     )
 
 
